@@ -6,7 +6,8 @@ Subcommands:
     oracle <expr>    exact-sequence dimensions at the cone vertex
     graph <file>     corner entry from a component-intersection JSON file
 
-Exit codes: 0 success, 1 user error, 2 internal consistency failure.
+Exit codes: 0 success, 1 user error, 2 internal failure (the two routes
+disagree, or an unexpected exception).
 Output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -20,11 +21,12 @@ from dataclasses import dataclass
 from .betti import AdmissibilityError, InternalConsistencyError, betti
 from .graph import ComponentGraph, GraphError
 from .oracle import cone_local_derham_dims
-from .parser import ParseError, parse_variety
-from .table import corner_from_graph, lyubeznik_table
+from .parser import MAX_INT_DIGITS, ParseError, parse_variety
+from .table import LyubeznikTable, corner_from_graph, lyubeznik_table
 from .variety import SemanticError, dimension, render
 
 _DEFAULT_MAX_DIM = 64
+_PRINTABLE_BOUND = 10 ** MAX_INT_DIGITS
 
 
 class _UserError(Exception):
@@ -38,7 +40,7 @@ class OutputDocument:
     expr: str
     dim: int
     betti: tuple
-    table: tuple
+    table: LyubeznikTable
     nonzero: tuple
     verified: bool
 
@@ -48,37 +50,68 @@ def _betti_text(b) -> str:
 
 
 def _document_text(doc: OutputDocument) -> str:
+    table = doc.table
+    d = table.dim_a
+    top = [str(v) for v in table.first_row]
+    column = [str(v) for v in table.last_column()]
+    width = max(len(str(d)), *map(len, top), *map(len, column))
+    label = "i\\j"
+    label_width = max(len(label), len(str(d)))
+    header = " ".join(f"{j:>{width}}" for j in range(d + 1))
     lines = [
         f"expression: {doc.expr}",
         f"dimension: {doc.dim}",
         f"betti: {_betti_text(doc.betti)}",
         f"verified: {'yes' if doc.verified else 'skipped'}",
         "",
+        f"{label:>{label_width}} | {header}",
+        "-" * (label_width + 3 + len(header)),
+        f"{0:>{label_width}} | " + " ".join(cell.rjust(width) for cell in top),
     ]
-    d = len(doc.table) - 1
-    width = max(len(str(v)) for row in doc.table for v in row)
-    width = max(width, len(str(d)))
-    corner = "i\\j"
-    label_width = max(len(corner), len(str(d)))
-    header = " ".join(f"{j:>{width}}" for j in range(d + 1))
-    lines.append(f"{corner:>{label_width}} | {header}")
-    lines.append("-" * (label_width + 3 + len(header)))
-    for i, row in enumerate(doc.table):
-        cells = " ".join(f"{v:>{width}}" for v in row)
-        lines.append(f"{i:>{label_width}} | {cells}")
+    # Rows 1..d hold d zeros and then their last-column cell.
+    zeros = " ".join(["0".rjust(width)] * d)
+    lines += [f"{i:>{label_width}} | {zeros} {cell:>{width}}"
+              for i, cell in enumerate(column, 1)]
     return "\n".join(lines) + "\n"
 
 
+# The JSON writers lay values out exactly as json.dumps(..., indent=2) does.
+def _json_array(items, depth: int) -> str:
+    """A list of already encoded ``items`` nested ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_ints(values, depth: int) -> str:
+    return _json_array([str(v) for v in values], depth)
+
+
+def _json_object(fields) -> str:
+    """The top-level object of (key, encoded value) pairs, plus a newline;
+    the keys are plain ASCII."""
+    return "{\n  " + ",\n  ".join(f'"{key}": {value}' for key, value in fields) + "\n}\n"
+
+
+def _json_table(table: LyubeznikTable) -> str:
+    # Rows 1..d hold d zeros and then their last-column cell, at depth 2.
+    pad = "\n" + "  " * 3
+    zeros = "[" + pad + ("," + pad).join(["0"] * table.dim_a) + "," + pad
+    rows = [_json_ints(table.first_row, 2)]
+    rows += [zeros + str(v) + "\n    ]" for v in table.last_column()]
+    return _json_array(rows, 1)
+
+
 def _document_json(doc: OutputDocument) -> str:
-    payload = {
-        "expr": doc.expr,
-        "dim": doc.dim,
-        "betti": list(doc.betti),
-        "table": [list(row) for row in doc.table],
-        "nonzero": [list(entry) for entry in doc.nonzero],
-        "verified": doc.verified,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_object([
+        ("expr", json.dumps(doc.expr)),
+        ("dim", str(doc.dim)),
+        ("betti", _json_ints(doc.betti, 1)),
+        ("table", _json_table(doc.table)),
+        ("nonzero", _json_array([_json_ints(e, 2) for e in doc.nonzero], 1)),
+        ("verified", "true" if doc.verified else "false"),
+    ])
 
 
 def _document_csv(doc: OutputDocument) -> str:
@@ -90,29 +123,41 @@ def _document_csv(doc: OutputDocument) -> str:
     return buf.getvalue()
 
 
-def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
-                max_dim: int = _DEFAULT_MAX_DIM, out=None) -> int:
-    """Parse, compute the table, optionally cross-check, and print."""
-    out = out if out is not None else sys.stdout
-    expr = parse_variety(expr_text)
+def _bounded_betti(expr, max_dim: int):
+    """The Betti vector of ``expr``.  A dimension above ``max_dim`` is
+    refused before any Betti work, and a vector with an entry of more than
+    MAX_INT_DIGITS digits once it is known."""
     r = dimension(expr)
     if r > max_dim:
         raise _UserError(
             f"dimension {r} exceeds the printable bound {max_dim}; "
             f"raise it with --max-dim")
     vec = betti(expr)
+    if max(vec.betti) >= _PRINTABLE_BOUND:
+        raise _UserError(
+            f"a Betti number has more than {MAX_INT_DIGITS} digits, "
+            f"the printable bound")
+    return vec
+
+
+def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
+                max_dim: int = _DEFAULT_MAX_DIM, out=None) -> int:
+    """Parse, compute the table, optionally cross-check, and print."""
+    out = out if out is not None else sys.stdout
+    expr = parse_variety(expr_text)
+    vec = _bounded_betti(expr, max_dim)
+    r = vec.dim
     table = lyubeznik_table(vec)
     verified = False
     if verify:
-        dims = cone_local_derham_dims(vec)
-        first_row = tuple(table[0, j] for j in range(r + 1))
-        if tuple(dims) != first_row:
+        dims = tuple(cone_local_derham_dims(vec))
+        if dims != table.first_row[:r + 1]:
             raise InternalConsistencyError(
                 f"oracle mismatch for {render(expr)}: exact-sequence dims "
-                f"{tuple(dims)} vs table first row {first_row}")
+                f"{dims} vs table first row {table.first_row[:r + 1]}")
         verified = True
-    doc = OutputDocument(render(expr), r, vec.betti, table.entries,
-                         table.nonzero(), verified)
+    doc = OutputDocument(render(expr), r, vec.betti, table, table.nonzero(),
+                         verified)
     if fmt == "json":
         out.write(_document_json(doc))
     elif fmt == "csv":
@@ -122,14 +167,16 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
     return 0
 
 
-def cmd_betti(expr_text: str, fmt: str = "text", out=None) -> int:
+def cmd_betti(expr_text: str, fmt: str = "text", out=None,
+              max_dim: int = _DEFAULT_MAX_DIM) -> int:
     """Parse and print the Betti vector."""
     out = out if out is not None else sys.stdout
     expr = parse_variety(expr_text)
-    vec = betti(expr)
+    vec = _bounded_betti(expr, max_dim)
     if fmt == "json":
-        payload = {"expr": render(expr), "dim": vec.dim, "betti": list(vec.betti)}
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(_json_object([("expr", json.dumps(render(expr))),
+                                ("dim", str(vec.dim)),
+                                ("betti", _json_ints(vec.betti, 1))]))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -144,13 +191,14 @@ def cmd_betti(expr_text: str, fmt: str = "text", out=None) -> int:
     return 0
 
 
-def cmd_oracle(expr_text: str, out=None) -> int:
+def cmd_oracle(expr_text: str, out=None, max_dim: int = _DEFAULT_MAX_DIM) -> int:
     """Parse and print the exact-sequence dimensions at the cone vertex."""
     out = out if out is not None else sys.stdout
     expr = parse_variety(expr_text)
-    dims = cone_local_derham_dims(betti(expr))
+    vec = _bounded_betti(expr, max_dim)
+    dims = cone_local_derham_dims(vec)
     out.write(f"expression: {render(expr)}\n"
-              f"dimension: {dimension(expr)}\n"
+              f"dimension: {vec.dim}\n"
               f"vertex local de Rham dims: {_betti_text(dims)}\n")
     return 0
 
@@ -159,7 +207,12 @@ def cmd_graph(path: str, out=None) -> int:
     """Read a component-intersection JSON file and print the corner entry."""
     out = out if out is not None else sys.stdout
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise GraphError("JSON values nested too deeply") from None
+        except ValueError as exc:  # malformed text, or an integer too long to read
+            raise GraphError(str(exc)) from None
     graph = ComponentGraph.from_json_dict(data)
     out.write(f"{corner_from_graph(graph)}\n")
     return 0
@@ -171,6 +224,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _add_max_dim(command) -> None:
+    command.add_argument("--max-dim", type=int, default=_DEFAULT_MAX_DIM,
+                         metavar="N", help="largest accepted dimension "
+                         f"(default {_DEFAULT_MAX_DIM})")
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -187,9 +246,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                          default="text")
     compute.add_argument("--no-verify", action="store_true",
                          help="skip the exact-sequence cross-check")
-    compute.add_argument("--max-dim", type=int, default=_DEFAULT_MAX_DIM,
-                         metavar="N", help="largest accepted dimension "
-                         f"(default {_DEFAULT_MAX_DIM})")
+    _add_max_dim(compute)
     compute.set_defaults(handler=lambda a: cmd_compute(
         a.expr, a.format, not a.no_verify, a.max_dim))
 
@@ -197,12 +254,15 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     betti_cmd.add_argument("expr")
     betti_cmd.add_argument("--format", choices=("text", "json", "csv"),
                            default="text")
-    betti_cmd.set_defaults(handler=lambda a: cmd_betti(a.expr, a.format))
+    _add_max_dim(betti_cmd)
+    betti_cmd.set_defaults(
+        handler=lambda a: cmd_betti(a.expr, a.format, max_dim=a.max_dim))
 
     oracle_cmd = sub.add_parser(
         "oracle", help="exact-sequence dimensions at the cone vertex")
     oracle_cmd.add_argument("expr")
-    oracle_cmd.set_defaults(handler=lambda a: cmd_oracle(a.expr))
+    _add_max_dim(oracle_cmd)
+    oracle_cmd.set_defaults(handler=lambda a: cmd_oracle(a.expr, max_dim=a.max_dim))
 
     graph_cmd = sub.add_parser(
         "graph", help="corner entry from a component-intersection JSON file")
@@ -220,15 +280,16 @@ def main(argv=None) -> int:
         return 0 if code is None else int(code)
     try:
         return args.handler(args)
-    except (ParseError, SemanticError, GraphError, _UserError) as exc:
+    except (ParseError, SemanticError, GraphError, _UserError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (AdmissibilityError, InternalConsistencyError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # a bug: report it on one line, not a traceback
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,6 +14,11 @@ class GraphError(ValueError):
     """Component or intersection data violates the schema."""
 
 
+def _is_int(value) -> bool:
+    # JSON true and false arrive as bool, which is an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ComponentGraph:
     """Named components with dimensions plus pairwise intersection dimensions.
@@ -33,20 +38,20 @@ class ComponentGraph:
         for name, dim in self.components:
             if not isinstance(name, str):
                 raise GraphError(f"component name must be a string, got {name!r}")
-            if not isinstance(dim, int) or dim < 0:
+            if not _is_int(dim) or dim < 0:
                 raise GraphError(
                     f"component dimension must be a nonnegative integer, got {dim!r}")
         n = len(self.components)
         seen = set()
         for i, j, dim in self.intersections:
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (_is_int(i) and _is_int(j)):
                 raise GraphError(f"intersection indices must be integers: ({i!r}, {j!r})")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"intersection indices out of range: ({i}, {j})")
             if i == j:
                 raise GraphError(
                     f"component {self.components[i][0]!r} cannot intersect itself")
-            if not isinstance(dim, int) or dim < -1:
+            if not _is_int(dim) or dim < -1:
                 raise GraphError(
                     f"intersection dimension must be an integer >= -1, got {dim!r}")
             if dim > min(self.components[i][1], self.components[j][1]):
@@ -77,6 +82,8 @@ class ComponentGraph:
             if not isinstance(item, dict) or "name" not in item or "dim" not in item:
                 raise GraphError(f"component records need 'name' and 'dim': {item!r}")
             name = item["name"]
+            if not isinstance(name, str):
+                raise GraphError(f"component name must be a string, got {name!r}")
             if name in index_of:
                 raise GraphError(f"duplicate component name {name!r}")
             index_of[name] = len(components)
@@ -90,7 +97,7 @@ class ComponentGraph:
                 raise GraphError(
                     f"intersection records need 'a', 'b' and 'dim': {item!r}")
             for end in ("a", "b"):
-                if item[end] not in index_of:
+                if not isinstance(item[end], str) or item[end] not in index_of:
                     raise GraphError(
                         f"unknown component {item[end]!r} in intersection record")
             intersections.append((index_of[item["a"]], index_of[item["b"]], item["dim"]))

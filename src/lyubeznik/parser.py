@@ -50,6 +50,14 @@ class _Token:
     value: int = 0
 
 
+# Every integer the program prints has at most MAX_INT_DIGITS decimal
+# digits, Python's default limit for int/str conversion.  Literals have at
+# most 2000, so that a dimension built from them (k*(n-k), summed over the
+# factors of a product) would need 10**300 factors to reach that limit.
+MAX_INT_DIGITS = 4300
+_MAX_LITERAL_DIGITS = 2000
+
+
 def _lex(text: str) -> list:
     tokens = []
     i, n = 0, len(text)
@@ -62,6 +70,9 @@ def _lex(text: str) -> list:
             j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
+            if j - i > _MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal longer than "
+                                 f"{_MAX_LITERAL_DIGITS} digits", i)
             tokens.append(_Token("INT", text[i:j], i, int(text[i:j])))
             i = j
             continue

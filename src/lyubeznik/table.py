@@ -4,7 +4,8 @@ For a nonsingular equidimensional projective variety of dimension r the
 whole (r+2) x (r+2) table is determined by the Betti vector: the first
 row carries consecutive differences of Betti numbers, the last column
 mirrors the first row, the corner counts connected components, and every
-other entry vanishes.
+other entry vanishes.  The table therefore stores only the first row and
+the corner, and derives every other entry when it is read.
 """
 
 from dataclasses import dataclass
@@ -18,56 +19,56 @@ class LyubeznikTable:
     """(d+1) x (d+1) table of lambda_{i,j} values, where d = r + 1 is the
     dimension of the local ring at the cone vertex.
 
-    Entries with i or j above d are identically zero and are not stored;
-    indexing beyond the stored range returns 0.
+    Only ``first_row`` (lambda_{0,0}, ..., lambda_{0,d}) and ``corner``
+    (lambda_{d,d}) are stored.  Reading ``table[i, j]`` derives the rest:
+    lambda_{l,d} = lambda_{0,d+1-l} for 1 <= l <= d - 1, and zero elsewhere,
+    including every index above d.
+
+    >>> table = LyubeznikTable(3, (0, 0, 2, 0), 1)
+    >>> table[2, 3], table[3, 3], table[1, 2]
+    (2, 1, 0)
     """
 
     dim_a: int
-    entries: tuple
+    first_row: tuple
+    corner: int
 
     def __post_init__(self):
         d = self.dim_a
         if d < 2:
             raise ValueError(f"the cone over a variety has dimension >= 2, got {d}")
-        object.__setattr__(self, "entries",
-                           tuple(tuple(row) for row in self.entries))
-        if len(self.entries) != d + 1 or any(len(row) != d + 1 for row in self.entries):
-            raise ValueError(f"table must be {d + 1} x {d + 1}")
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or v < 0:
-                    raise ValueError(
-                        f"lambda_({i},{j}) must be a nonnegative integer, got {v!r}")
-        # Zero region: nothing below the first row except the last column.
-        for i in range(1, d + 1):
-            for j in range(d):
-                if self.entries[i][j] != 0:
-                    raise ValueError(
-                        f"lambda_({i},{j}) must vanish for i > 0, j <= {d - 1}")
-        if self.entries[0][0] != 0:
-            raise ValueError("lambda_(0,0) must vanish")
-        if self.entries[0][d] != 0 or self.entries[1][d] != 0:
-            raise ValueError(f"lambda_(0,{d}) and lambda_(1,{d}) must vanish")
-        for ell in range(2, d):
-            if self.entries[ell][d] != self.entries[0][d + 1 - ell]:
-                raise ValueError(
-                    f"column duality fails: lambda_({ell},{d}) != lambda_(0,{d + 1 - ell})")
-        if self.entries[d][d] < 1:
+        object.__setattr__(self, "first_row", tuple(self.first_row))
+        if len(self.first_row) != d + 1:
+            raise ValueError(f"the first row must have {d + 1} entries")
+        if self.first_row[0] != 0 or self.first_row[d] != 0:
+            raise ValueError(f"lambda_(0,0) and lambda_(0,{d}) must vanish")
+        if self.corner < 1:
             raise ValueError("the corner entry counts components and must be positive")
 
     def __getitem__(self, key) -> int:
         i, j = key
         if i < 0 or j < 0:
             raise IndexError("table indices are nonnegative")
-        if i > self.dim_a or j > self.dim_a:
+        d = self.dim_a
+        if i > d or j > d:
             return 0
-        return self.entries[i][j]
+        if i == 0:
+            return self.first_row[j]
+        if j != d:
+            return 0
+        return self.corner if i == d else self.first_row[d + 1 - i]
+
+    def last_column(self) -> tuple:
+        """lambda_{1,d}, ..., lambda_{d,d}: the first row reversed, then the
+        corner."""
+        return self.first_row[:1:-1] + (self.corner,)
 
     def nonzero(self) -> tuple:
         """Nonzero entries as (i, j, value) triples in row-major order."""
-        return tuple((i, j, v)
-                     for i, row in enumerate(self.entries)
-                     for j, v in enumerate(row) if v)
+        d = self.dim_a
+        top = tuple((0, j, v) for j, v in enumerate(self.first_row) if v)
+        column = tuple((i, d, v) for i, v in enumerate(self.last_column(), 1) if v)
+        return top + column
 
 
 def lyubeznik_table(b: BettiVector) -> LyubeznikTable:
@@ -99,17 +100,13 @@ def lyubeznik_table(b: BettiVector) -> LyubeznikTable:
     report = check_lefschetz_admissible(b)
     if not report:
         raise AdmissibilityError(report.reason)
-    d = r + 1
-    rows = [[0] * (d + 1) for _ in range(d + 1)]
-    rows[0][1] = b[0] - 1
+    beta = b.betti
+    row = [0, beta[0] - 1]
     if r >= 2:
-        rows[0][2] = b[1]
-    for j in range(3, r + 1):
-        rows[0][j] = b[j - 1] - b[j - 3]
-    for ell in range(2, r + 1):
-        rows[ell][d] = rows[0][r + 2 - ell]
-    rows[d][d] = b[0]
-    return LyubeznikTable(d, tuple(tuple(row) for row in rows))
+        row.append(beta[1])
+    row += [beta[j - 1] - beta[j - 3] for j in range(3, r + 1)]
+    row.append(0)
+    return LyubeznikTable(r + 1, tuple(row), beta[0])
 
 
 def corner_from_graph(g: ComponentGraph) -> int:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -221,3 +222,113 @@ def test_oracle_mismatch_exits_two(monkeypatch, capsys):
     # --no-verify skips the broken check entirely
     code, out, _ = run(["compute", "Curve(1) x P(1)", "--no-verify"], capsys)
     assert code == 0
+
+
+# --- bounds and robustness ------------------------------------------------------
+
+def assert_one_line_error(code, out, err, expected_code=1):
+    assert code == expected_code
+    assert out == ""
+    assert err.startswith("error:" if expected_code == 1 else "internal error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "Hyp(60," + "9" * 90 + ")", "--format", "json"],
+    ["compute", "Hyp(60," + "9" * 90 + ")", "--format", "text"],
+    ["compute", "Hyp(60," + "9" * 90 + ")", "--format", "csv"],
+    ["betti", "Hyp(3," + str(10 ** 1434) + ")", "--format", "json"],
+    ["oracle", "Hyp(3," + str(10 ** 1434) + ")"],
+    ["compute", "P(" + "9" * 5000 + ")"],
+    ["betti", "Curve(" + "1" * 2001 + ")"],
+])
+def test_integers_beyond_the_digit_bound_exit_one(argv, capsys):
+    assert_one_line_error(*run(argv, capsys))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_integers_within_the_digit_bound_print_exactly(fmt, capsys):
+    d = 10 ** 1433  # the middle Betti number of this surface has 4299 digits
+    code, out, err = run(["betti", f"Hyp(3,{d})", "--format", fmt], capsys)
+    assert code == 0 and err == ""
+    beta_2 = d ** 3 - 4 * d ** 2 + 6 * d - 2
+    assert len(str(beta_2)) == 4299 and str(beta_2) in out
+    g = int("9" * 2000)  # the longest literal; lambda_{0,2} = lambda_{2,3} = 2g
+    code, out, err = run(["compute", f"Curve({g}) x P(1)", "--format", fmt], capsys)
+    assert code == 0 and err == ""
+    # betti (beta_1 = beta_3 = 2g), table and nonzero entries, as each format has them
+    assert out.count(str(2 * g)) == {"json": 6, "text": 4, "csv": 2}[fmt]
+
+
+def test_dimensions_from_the_longest_literals_print(capsys):
+    grassmannian = f"Gr({5 * 10 ** 1999},{10 ** 2000 - 1})"  # dimension ~2.5e3999
+    product = " x ".join([grassmannian] * 100)
+    for argv in (["compute", product], ["betti", product + " + P(1)"]):
+        code, out, err = run(argv, capsys)
+        assert_one_line_error(code, out, err)
+        assert "dimension" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "P(3000)"],
+    ["betti", "Gr(300,600)"],
+    ["betti", "P(100000000)", "--format", "json"],
+    ["oracle", "Gr(300,600)"],
+    ["betti", "P(9)", "--max-dim", "8"],
+    ["oracle", "P(9)", "--max-dim", "8"],
+])
+def test_betti_and_oracle_refuse_large_dimensions_promptly(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert_one_line_error(code, out, err)
+    assert "max-dim" in err
+
+
+def test_betti_and_oracle_max_dim_option(capsys):
+    code, out, _ = run(["betti", "P(9)", "--max-dim", "9"], capsys)
+    assert code == 0 and "dimension: 9" in out
+    code, out, _ = run(["oracle", "P(9)", "--max-dim", "9"], capsys)
+    assert code == 0 and "dimension: 9" in out
+
+
+def test_betti_and_oracle_keep_their_positional_arguments():
+    out = io.StringIO()
+    assert cli.cmd_betti("P(2)", "csv", out) == 0
+    assert out.getvalue().startswith("j,beta\n")
+    out = io.StringIO()
+    assert cli.cmd_oracle("P(2)", out) == 0
+    assert out.getvalue().endswith("vertex local de Rham dims: (0, 0, 0)\n")
+
+
+@pytest.mark.parametrize("payload", [
+    {"components": [{"name": "A", "dim": True}, {"name": "B", "dim": 1}],
+     "intersections": [{"a": "A", "b": "B", "dim": 0}]},
+    {"components": [{"name": "A", "dim": 2}, {"name": "B", "dim": 2}],
+     "intersections": [{"a": "A", "b": "B", "dim": True}]},
+    {"components": [{"name": ["A"], "dim": 2}]},
+    {"components": [{"name": "A", "dim": 2}],
+     "intersections": [{"a": ["A"], "b": "A", "dim": 1}]},
+])
+def test_graph_rejects_non_integers_and_non_names(tmp_path, payload, capsys):
+    assert_one_line_error(*run(["graph", write_graph(tmp_path, payload)], capsys))
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"components": [{"name": "A", "dim": 1' + "0" * 5000 + "}]}",
+], ids=["nested-1e5-deep", "5001-digit-integer"])
+def test_graph_rejects_unreadable_json(tmp_path, text, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(text, encoding="utf-8")
+    assert_one_line_error(*run(["graph", str(path)], capsys))
+
+
+def test_unexpected_exceptions_exit_two(monkeypatch, capsys):
+    def broken(vec):
+        raise RuntimeError("broken\non two lines")
+
+    monkeypatch.setattr(cli, "lyubeznik_table", broken)
+    code, out, err = run(["compute", "P(2)"], capsys)
+    assert_one_line_error(code, out, err, expected_code=2)
+    assert err == "internal error: RuntimeError: broken on two lines\n"

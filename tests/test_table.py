@@ -132,22 +132,60 @@ def test_indexing_outside_the_stored_range():
         table[-1, 0]
 
 
-def test_table_shape_validation():
+def assert_table_invariants(table):
+    """The shape the theorem forces, read entry by entry through table[i, j]:
+    nothing below the first row except the last column, that column mirrors
+    the first row, lambda_{0,0} = lambda_{0,d} = lambda_{1,d} = 0, and the
+    corner is positive.  Indices above d read as zero."""
+    d = table.dim_a
+    for i in range(d + 2):
+        for j in range(d + 2):
+            v = table[i, j]
+            assert isinstance(v, int) and v >= 0, (i, j, v)
+            if i > d or j > d or (i > 0 and j < d):
+                assert v == 0, (i, j, v)
+    assert table[0, 0] == table[0, d] == table[1, d] == 0
+    for ell in range(2, d):
+        assert table[ell, d] == table[0, d + 1 - ell], ell
+    assert table[d, d] >= 1
+
+
+class _DenseTable:
+    """A table read from a full grid, to show the checker rejects bad grids."""
+
+    def __init__(self, rows):
+        self.dim_a = len(rows) - 1
+        self.rows = rows
+
+    def __getitem__(self, key):
+        i, j = key
+        return self.rows[i][j] if i <= self.dim_a and j <= self.dim_a else 0
+
+
+def test_table_shape_validation(expr_corpus):
     with pytest.raises(ValueError):
-        LyubeznikTable(1, ((0, 0), (0, 1)))  # cone dimension too small
+        LyubeznikTable(1, (0, 0), 1)  # cone dimension too small
     with pytest.raises(ValueError):
-        LyubeznikTable(2, ((0, 0), (0, 0)))  # wrong shape
-    good = ((0, 0, 2, 0), (0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, 1))
-    assert LyubeznikTable(3, good).nonzero() == ((0, 2, 2), (2, 3, 2), (3, 3, 1))
+        LyubeznikTable(3, (0, 0, 2), 1)  # wrong first-row length
+    with pytest.raises(ValueError):
+        LyubeznikTable(3, (1, 0, 2, 0), 1)  # lambda_(0,0) must vanish
+    with pytest.raises(ValueError):
+        LyubeznikTable(3, (0, 0, 2, 1), 1)  # lambda_(0,d) must vanish
+    with pytest.raises(ValueError):
+        LyubeznikTable(3, (0, 0, 2, 0), 0)  # the corner counts components
+    good = LyubeznikTable(3, (0, 0, 2, 0), 1)
+    assert good.nonzero() == ((0, 2, 2), (2, 3, 2), (3, 3, 1))
+    assert_table_invariants(good)
+    for expr in expr_corpus:
+        assert_table_invariants(lyubeznik_table(betti(expr)))
+    assert_table_invariants(_DenseTable(
+        ((0, 0, 2, 0), (0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, 1))))
     bad_zero_region = ((0, 0, 2, 0), (0, 1, 0, 0), (0, 0, 0, 2), (0, 0, 0, 1))
-    with pytest.raises(ValueError):
-        LyubeznikTable(3, bad_zero_region)
     bad_mirror = ((0, 0, 2, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1))
-    with pytest.raises(ValueError):
-        LyubeznikTable(3, bad_mirror)
     bad_corner = ((0, 0, 2, 0), (0, 0, 0, 0), (0, 0, 0, 2), (0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        LyubeznikTable(3, bad_corner)
+    for rows in (bad_zero_region, bad_mirror, bad_corner):
+        with pytest.raises(AssertionError):
+            assert_table_invariants(_DenseTable(rows))
 
 
 def test_corner_from_graph_examples():
