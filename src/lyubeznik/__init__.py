@@ -34,7 +34,6 @@ from .graph import (
 )
 from .oracle import ConeLocalDims, cone_local_derham_dims
 from .parser import ParseError, parse_variety
-from .series import TruncatedSeries
 from .table import LyubeznikTable, corner_from_graph, lyubeznik_table
 from .variety import (
     Abelian,
@@ -75,7 +74,6 @@ __all__ = [
     "Product",
     "ProjSpace",
     "SemanticError",
-    "TruncatedSeries",
     "VarietyExpr",
     "betti",
     "betti_abelian",

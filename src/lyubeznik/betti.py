@@ -4,24 +4,26 @@ Every constructor returns the full vector (beta_0, ..., beta_{2r}) with
 arbitrary-precision integer entries.  Vectors produced here satisfy
 Poincare duality and the hard Lefschetz step inequalities; the checker
 ``check_lefschetz_admissible`` verifies those constraints for vectors of
-unknown origin.  All functions are pure and all values immutable.
+unknown origin.  The constructors check their arguments with the
+validator of the matching atom, so a bad argument raises its
+``SemanticError`` (a ``ValueError``).  All functions are pure and all
+values immutable.
 """
 
 from dataclasses import dataclass
 from math import comb, prod
 
-from .series import TruncatedSeries
 from .variety import (
     Abelian,
     CompleteIntersection,
     Curve,
     DimensionMismatchError,
-    DisjointUnion,
     Grassmannian,
     Hypersurface,
     Product,
     ProjSpace,
     VarietyExpr,
+    fold,
 )
 
 
@@ -122,8 +124,7 @@ def betti_projective_space(n: int) -> BettiVector:
     >>> str(betti_projective_space(3))
     '(1, 0, 1, 0, 1, 0, 1)'
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    ProjSpace(n)
     return BettiVector(n, tuple(1 if j % 2 == 0 else 0 for j in range(2 * n + 1)))
 
 
@@ -160,10 +161,8 @@ def betti_grassmannian(k: int, n: int) -> BettiVector:
     >>> str(betti_grassmannian(2, 4))
     '(1, 0, 1, 0, 2, 0, 1, 0, 1)'
     """
-    if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+    r = Grassmannian(k, n).dim
     counts = _partitions_in_box(k, n - k)
-    r = k * (n - k)
     betti = [0] * (2 * r + 1)
     for i, c in enumerate(counts):
         betti[2 * i] = c
@@ -172,8 +171,7 @@ def betti_grassmannian(k: int, n: int) -> BettiVector:
 
 def betti_curve(g: int) -> BettiVector:
     """Betti vector (1, 2g, 1) of a nonsingular curve of genus g."""
-    if g < 0:
-        raise ValueError(f"need g >= 0, got {g}")
+    Curve(g)
     return BettiVector(1, (1, 2 * g, 1))
 
 
@@ -183,19 +181,8 @@ def betti_abelian(g: int) -> BettiVector:
     >>> str(betti_abelian(2))
     '(1, 4, 6, 4, 1)'
     """
-    if g < 1:
-        raise ValueError(f"need g >= 1, got {g}")
+    Abelian(g)
     return BettiVector(g, tuple(comb(2 * g, j) for j in range(2 * g + 1)))
-
-
-def _check_ci_args(n: int, degrees: tuple) -> None:
-    c = len(degrees)
-    if c < 1:
-        raise ValueError("need at least one degree")
-    if any(not isinstance(d, int) or d < 1 for d in degrees):
-        raise ValueError(f"degrees must be integers >= 1, got {degrees}")
-    if n - c < 1:
-        raise ValueError(f"need dimension n - c >= 1, got n={n}, c={c}")
 
 
 def euler_char_ci(n: int, degrees) -> int:
@@ -203,8 +190,8 @@ def euler_char_ci(n: int, degrees) -> int:
     given multidegree in P^n, by exact coefficient extraction.
 
     The value is (prod of degrees) times the h^(n-c) coefficient of
-    (1+h)^(n+1) / prod(1 + d*h); each division is a truncated
-    multiplication by an alternating geometric series, so the whole
+    (1+h)^(n+1) / prod(1 + d*h).  Dividing a truncated series by 1 + d*h
+    in place is the step c[i] -= d*c[i-1] for i = 1..order, so the whole
     computation stays in exact integers.
 
     >>> euler_char_ci(4, [5])
@@ -212,13 +199,13 @@ def euler_char_ci(n: int, degrees) -> int:
     >>> euler_char_ci(3, [4])
     24
     """
-    degrees = tuple(degrees)
-    _check_ci_args(n, degrees)
-    order = n - len(degrees)
-    series = TruncatedSeries.binomial_power(n + 1, order)
-    for d in degrees:
-        series = series * TruncatedSeries.geometric_inverse(d, order)
-    return prod(degrees) * series[order]
+    ci = CompleteIntersection(n, degrees)
+    order = ci.dim
+    c = [comb(n + 1, i) for i in range(order + 1)]
+    for d in ci.degrees:
+        for i in range(1, order + 1):
+            c[i] -= d * c[i - 1]
+    return prod(ci.degrees) * c[order]
 
 
 def betti_complete_intersection(n: int, degrees) -> BettiVector:
@@ -233,9 +220,8 @@ def betti_complete_intersection(n: int, degrees) -> BettiVector:
     >>> str(betti_complete_intersection(3, [4]))
     '(1, 0, 22, 0, 1)'
     """
-    degrees = tuple(degrees)
-    _check_ci_args(n, degrees)
-    r = n - len(degrees)
+    ci = CompleteIntersection(n, degrees)
+    degrees, r = ci.degrees, ci.dim
     chi = euler_char_ci(n, degrees)
     betti = [1 if j % 2 == 0 else 0 for j in range(2 * r + 1)]
     betti[r] = 0
@@ -277,26 +263,25 @@ def disjoint_union_betti(a: BettiVector, b: BettiVector) -> BettiVector:
     return BettiVector(a.dim, tuple(x + y for x, y in zip(a, b)))
 
 
+# The Betti vector of each atom, from its fields.
+_ATOM_BETTI = {
+    ProjSpace: lambda a: betti_projective_space(a.n),
+    Grassmannian: lambda a: betti_grassmannian(a.k, a.n),
+    Curve: lambda a: betti_curve(a.g),
+    Abelian: lambda a: betti_abelian(a.g),
+    Hypersurface: lambda a: betti_complete_intersection(a.n, (a.d,)),
+    CompleteIntersection: lambda a: betti_complete_intersection(a.n, a.degrees),
+}
+
+
 def betti(expr: VarietyExpr) -> BettiVector:
     """Betti vector of an arbitrary variety expression.
 
     >>> str(betti(Product(Curve(1), ProjSpace(1))))
     '(1, 2, 2, 2, 1)'
     """
-    if isinstance(expr, ProjSpace):
-        return betti_projective_space(expr.n)
-    if isinstance(expr, Grassmannian):
-        return betti_grassmannian(expr.k, expr.n)
-    if isinstance(expr, Curve):
-        return betti_curve(expr.g)
-    if isinstance(expr, Abelian):
-        return betti_abelian(expr.g)
-    if isinstance(expr, Hypersurface):
-        return betti_complete_intersection(expr.n, (expr.d,))
-    if isinstance(expr, CompleteIntersection):
-        return betti_complete_intersection(expr.n, expr.degrees)
-    if isinstance(expr, Product):
-        return kunneth(betti(expr.left), betti(expr.right))
-    if isinstance(expr, DisjointUnion):
-        return disjoint_union_betti(betti(expr.left), betti(expr.right))
-    raise TypeError(f"not a variety expression: {expr!r}")
+    return fold(expr, lambda atom: _ATOM_BETTI[type(atom)](atom), _betti_join)
+
+
+def _betti_join(node: VarietyExpr, a: BettiVector, b: BettiVector) -> BettiVector:
+    return kunneth(a, b) if isinstance(node, Product) else disjoint_union_betti(a, b)

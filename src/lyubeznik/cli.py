@@ -114,19 +114,19 @@ def _document_json(doc: OutputDocument) -> str:
     ])
 
 
-def _document_csv(doc: OutputDocument) -> str:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i", "j", "lambda"])
-    for i, j, value in doc.nonzero:
-        writer.writerow([i, j, value])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _bounded_betti(expr, max_dim: int):
-    """The Betti vector of ``expr``.  A dimension above ``max_dim`` is
-    refused before any Betti work, and a vector with an entry of more than
-    MAX_INT_DIGITS digits once it is known."""
+def _parse_bounded(expr_text: str, max_dim: int):
+    """The parsed expression and its Betti vector.  A dimension above
+    ``max_dim`` is refused before any Betti work, and a vector with an
+    entry of more than MAX_INT_DIGITS digits once it is known."""
+    expr = parse_variety(expr_text)
     r = dimension(expr)
     if r > max_dim:
         raise _UserError(
@@ -137,15 +137,14 @@ def _bounded_betti(expr, max_dim: int):
         raise _UserError(
             f"a Betti number has more than {MAX_INT_DIGITS} digits, "
             f"the printable bound")
-    return vec
+    return expr, vec
 
 
 def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
                 max_dim: int = _DEFAULT_MAX_DIM, out=None) -> int:
     """Parse, compute the table, optionally cross-check, and print."""
     out = out if out is not None else sys.stdout
-    expr = parse_variety(expr_text)
-    vec = _bounded_betti(expr, max_dim)
+    expr, vec = _parse_bounded(expr_text, max_dim)
     r = vec.dim
     table = lyubeznik_table(vec)
     verified = False
@@ -161,7 +160,7 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
     if fmt == "json":
         out.write(_document_json(doc))
     elif fmt == "csv":
-        out.write(_document_csv(doc))
+        out.write(_csv_text(["i", "j", "lambda"], doc.nonzero))
     else:
         out.write(_document_text(doc))
     return 0
@@ -171,19 +170,13 @@ def cmd_betti(expr_text: str, fmt: str = "text", out=None,
               max_dim: int = _DEFAULT_MAX_DIM) -> int:
     """Parse and print the Betti vector."""
     out = out if out is not None else sys.stdout
-    expr = parse_variety(expr_text)
-    vec = _bounded_betti(expr, max_dim)
+    expr, vec = _parse_bounded(expr_text, max_dim)
     if fmt == "json":
         out.write(_json_object([("expr", json.dumps(render(expr))),
                                 ("dim", str(vec.dim)),
                                 ("betti", _json_ints(vec.betti, 1))]))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["j", "beta"])
-        for j, value in enumerate(vec):
-            writer.writerow([j, value])
-        out.write(buf.getvalue())
+        out.write(_csv_text(["j", "beta"], enumerate(vec)))
     else:
         out.write(f"expression: {render(expr)}\n"
                   f"dimension: {vec.dim}\n"
@@ -194,8 +187,7 @@ def cmd_betti(expr_text: str, fmt: str = "text", out=None,
 def cmd_oracle(expr_text: str, out=None, max_dim: int = _DEFAULT_MAX_DIM) -> int:
     """Parse and print the exact-sequence dimensions at the cone vertex."""
     out = out if out is not None else sys.stdout
-    expr = parse_variety(expr_text)
-    vec = _bounded_betti(expr, max_dim)
+    expr, vec = _parse_bounded(expr_text, max_dim)
     dims = cone_local_derham_dims(vec)
     out.write(f"expression: {render(expr)}\n"
               f"dimension: {vec.dim}\n"

@@ -16,14 +16,10 @@ offset and the tokens that would have been accepted) or ``SemanticError``.
 from dataclasses import dataclass
 
 from .variety import (
-    Abelian,
+    Atom,
     CompleteIntersection,
-    Curve,
     DisjointUnion,
-    Grassmannian,
-    Hypersurface,
     Product,
-    ProjSpace,
     SemanticError,
     VarietyExpr,
 )
@@ -93,8 +89,7 @@ def _lex(text: str) -> list:
     return tokens
 
 
-_ARITY = {"P": 1, "Gr": 2, "Curve": 1, "Ab": 1, "Hyp": 2}
-_CTOR_NAMES = ("P", "Gr", "Curve", "Ab", "Hyp", "CI")
+_ATOMS = {cls.name: cls for cls in Atom.__subclasses__()}
 
 # Guards against pathological paren nesting blowing the interpreter stack.
 _MAX_DEPTH = 200
@@ -161,55 +156,38 @@ class _Parser:
                          ("constructor name", "'('"))
 
     def _int(self) -> int:
-        tok = self._peek()
-        if tok.kind != "INT":
-            got = "end of input" if tok.kind == "END" else repr(tok.text)
-            raise ParseError(f"unexpected {got}", tok.pos, ("integer",))
-        return self._advance().value
+        return self._expect("INT", ("integer",)).value
 
     def _constructor(self) -> VarietyExpr:
         name_tok = self._advance()
         name = name_tok.text
-        if name not in _CTOR_NAMES:
+        cls = _ATOMS.get(name)
+        if cls is None:
             raise ParseError(f"unknown constructor {name!r}", name_tok.pos,
-                             _CTOR_NAMES)
+                             tuple(_ATOMS))
         self._expect("(", ("'('",))
         values = [self._int()]
-        semi = None
-        if self._peek().kind == ";":
+        semi = self._peek().kind == ";"
+        if semi:
             self._advance()
-            semi = [self._int()]
-            while self._peek().kind == ",":
-                self._advance()
-                semi.append(self._int())
-        else:
-            while self._peek().kind == ",":
-                self._advance()
-                values.append(self._int())
+            values.append(self._int())
+        while self._peek().kind == ",":
+            self._advance()
+            values.append(self._int())
         self._expect(")", ("')'",))
-        return _build(name, values, semi)
-
-
-def _build(name: str, values: list, semi) -> VarietyExpr:
-    if name == "CI":
-        if semi is None:
-            raise SemanticError("CI takes the form CI(n; d1,...,dc)")
-        return CompleteIntersection(values[0], tuple(semi))
-    if semi is not None:
-        raise SemanticError(f"{name} does not take ';' arguments (only CI does)")
-    arity = _ARITY[name]
-    if len(values) != arity:
-        raise SemanticError(
-            f"{name} takes {arity} argument(s), got {len(values)}")
-    if name == "P":
-        return ProjSpace(values[0])
-    if name == "Gr":
-        return Grassmannian(values[0], values[1])
-    if name == "Curve":
-        return Curve(values[0])
-    if name == "Ab":
-        return Abelian(values[0])
-    return Hypersurface(values[0], values[1])
+        # The semicolon form belongs to CI alone; every other atom takes
+        # its fields as a comma list.
+        if cls is CompleteIntersection:
+            if not semi:
+                raise SemanticError("CI takes the form CI(n; d1,...,dc)")
+            return cls(values[0], tuple(values[1:]))
+        if semi:
+            raise SemanticError(f"{name} does not take ';' arguments (only CI does)")
+        arity = len(cls.__match_args__)
+        if len(values) != arity:
+            raise SemanticError(
+                f"{name} takes {arity} argument(s), got {len(values)}")
+        return cls(*values)
 
 
 def parse_variety(text: str) -> VarietyExpr:

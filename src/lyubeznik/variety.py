@@ -1,9 +1,12 @@
 """Variety expressions: immutable syntax trees built from six atomic
 constructors plus binary product and disjoint union.
 
-Constructor constraints are enforced at construction time, so every
-reachable tree describes a nonsingular projective variety of dimension
-at least 1.  All values here are frozen and safe to share.
+Each atom is one class: its syntax name, its fields (the arguments of
+``NAME(a,b,...)``, in order), its validator, its dimension and its
+rendering live there and nowhere else.  Constructor constraints are
+enforced at construction time, so every reachable tree describes a
+nonsingular projective variety of dimension at least 1.  All values here
+are frozen and safe to share.
 """
 
 from dataclasses import dataclass
@@ -23,70 +26,101 @@ def _require(condition: bool, message: str) -> None:
 
 
 class VarietyExpr:
-    """Base class for variety expressions."""
+    """Base class for variety expressions.
+
+    Every node stores its dimension ``dim`` when it is built.  It is a
+    plain attribute, not a dataclass field, so equality, hashing and
+    ``repr`` see only the constructor arguments.
+    """
+
+    dim: int
 
     def __str__(self) -> str:
         return render(self)
 
 
+class Atom(VarietyExpr):
+    """An atomic constructor ``name(a,b,...)``: the class attribute
+    ``name`` is its syntax name and its fields are the arguments, in
+    order.  The subclasses, in definition order, are the atoms the parser
+    knows."""
+
+    def text(self) -> str:
+        # A dataclass lists its constructor fields, in order, in __match_args__.
+        args = ",".join([str(getattr(self, f)) for f in self.__match_args__])
+        return f"{self.name}({args})"
+
+
 @dataclass(frozen=True)
-class ProjSpace(VarietyExpr):
+class ProjSpace(Atom):
     """Projective space of dimension n >= 1."""
 
+    name = "P"
     n: int
 
     def __post_init__(self):
         _require(self.n >= 1, f"P(n) requires n >= 1, got n={self.n}")
+        object.__setattr__(self, "dim", self.n)
 
 
 @dataclass(frozen=True)
-class Grassmannian(VarietyExpr):
+class Grassmannian(Atom):
     """Grassmannian of k-dimensional subspaces of n-space, 0 < k < n."""
 
+    name = "Gr"
     k: int
     n: int
 
     def __post_init__(self):
         _require(0 < self.k < self.n,
                  f"Gr(k,n) requires 0 < k < n, got k={self.k}, n={self.n}")
+        object.__setattr__(self, "dim", self.k * (self.n - self.k))
 
 
 @dataclass(frozen=True)
-class Curve(VarietyExpr):
+class Curve(Atom):
     """Nonsingular projective curve of genus g >= 0."""
 
+    name = "Curve"
     g: int
 
     def __post_init__(self):
         _require(self.g >= 0, f"Curve(g) requires g >= 0, got g={self.g}")
+        object.__setattr__(self, "dim", 1)
 
 
 @dataclass(frozen=True)
-class Abelian(VarietyExpr):
+class Abelian(Atom):
     """Abelian variety of dimension g >= 1."""
 
+    name = "Ab"
     g: int
 
     def __post_init__(self):
         _require(self.g >= 1, f"Ab(g) requires g >= 1, got g={self.g}")
+        object.__setattr__(self, "dim", self.g)
 
 
 @dataclass(frozen=True)
-class Hypersurface(VarietyExpr):
+class Hypersurface(Atom):
     """Nonsingular degree-d hypersurface in P^n, so of dimension n - 1."""
 
+    name = "Hyp"
     n: int
     d: int
 
     def __post_init__(self):
         _require(self.n >= 2, f"Hyp(n,d) requires n >= 2, got n={self.n}")
         _require(self.d >= 1, f"Hyp(n,d) requires d >= 1, got d={self.d}")
+        object.__setattr__(self, "dim", self.n - 1)
 
 
 @dataclass(frozen=True)
-class CompleteIntersection(VarietyExpr):
-    """Nonsingular complete intersection in P^n of the given multidegree."""
+class CompleteIntersection(Atom):
+    """Nonsingular complete intersection in P^n of the given multidegree,
+    written ``CI(n; d1,...,dc)``."""
 
+    name = "CI"
     n: int
     degrees: tuple
 
@@ -99,6 +133,10 @@ class CompleteIntersection(VarietyExpr):
         _require(self.n - c >= 1,
                  f"CI(n; d1,...,dc) requires dimension n - c >= 1, "
                  f"got n={self.n}, c={c}")
+        object.__setattr__(self, "dim", self.n - c)
+
+    def text(self) -> str:
+        return f"CI({self.n}; {','.join(str(d) for d in self.degrees)})"
 
 
 @dataclass(frozen=True)
@@ -107,6 +145,9 @@ class Product(VarietyExpr):
 
     left: VarietyExpr
     right: VarietyExpr
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", self.left.dim + self.right.dim)
 
 
 @dataclass(frozen=True)
@@ -117,10 +158,32 @@ class DisjointUnion(VarietyExpr):
     right: VarietyExpr
 
     def __post_init__(self):
-        dl, dr = dimension(self.left), dimension(self.right)
+        dl, dr = self.left.dim, self.right.dim
         if dl != dr:
             raise DimensionMismatchError(
                 f"disjoint union requires equal dimensions, got {dl} and {dr}")
+        object.__setattr__(self, "dim", dl)
+
+
+def fold(expr: VarietyExpr, leaf, join):
+    """Evaluate ``expr`` bottom-up: ``leaf(atom)`` at each atom and
+    ``join(node, left_value, right_value)`` at each product or union.
+
+    The walk keeps its own stack, so the depth of the tree is not bounded
+    by the interpreter's recursion limit.
+    """
+    values = []
+    stack = [(expr, False)]
+    while stack:
+        node, operands_done = stack.pop()
+        if operands_done:
+            right = values.pop()
+            values[-1] = join(node, values[-1], right)
+        elif isinstance(node, Atom):
+            values.append(leaf(node))
+        else:
+            stack += ((node, True), (node.right, False), (node.left, False))
+    return values[0]
 
 
 def dimension(expr: VarietyExpr) -> int:
@@ -133,23 +196,7 @@ def dimension(expr: VarietyExpr) -> int:
     >>> dimension(CompleteIntersection(5, (2, 2)))
     3
     """
-    if isinstance(expr, ProjSpace):
-        return expr.n
-    if isinstance(expr, Grassmannian):
-        return expr.k * (expr.n - expr.k)
-    if isinstance(expr, Curve):
-        return 1
-    if isinstance(expr, Abelian):
-        return expr.g
-    if isinstance(expr, Hypersurface):
-        return expr.n - 1
-    if isinstance(expr, CompleteIntersection):
-        return expr.n - len(expr.degrees)
-    if isinstance(expr, Product):
-        return dimension(expr.left) + dimension(expr.right)
-    if isinstance(expr, DisjointUnion):
-        return dimension(expr.left)
-    raise TypeError(f"not a variety expression: {expr!r}")
+    return expr.dim
 
 
 def render(expr: VarietyExpr) -> str:
@@ -166,30 +213,18 @@ def render(expr: VarietyExpr) -> str:
     >>> render(CompleteIntersection(5, (2, 2)))
     'CI(5; 2,2)'
     """
-    return _render(expr, 0)
+    return fold(expr, lambda atom: atom.text(), _render_join)
 
 
-# Context levels: 0 union operand, 1 product left operand, 2 product right
-# operand.  A node needs parentheses when its own binding is looser than
-# what the context requires.
-def _render(expr: VarietyExpr, level: int) -> str:
-    if isinstance(expr, DisjointUnion):
-        text = f"{_render(expr.left, 0)} + {_render(expr.right, 1)}"
-        return f"({text})" if level >= 1 else text
-    if isinstance(expr, Product):
-        text = f"{_render(expr.left, 1)} x {_render(expr.right, 2)}"
-        return f"({text})" if level >= 2 else text
-    if isinstance(expr, ProjSpace):
-        return f"P({expr.n})"
-    if isinstance(expr, Grassmannian):
-        return f"Gr({expr.k},{expr.n})"
-    if isinstance(expr, Curve):
-        return f"Curve({expr.g})"
-    if isinstance(expr, Abelian):
-        return f"Ab({expr.g})"
-    if isinstance(expr, Hypersurface):
-        return f"Hyp({expr.n},{expr.d})"
-    if isinstance(expr, CompleteIntersection):
-        degrees = ",".join(str(d) for d in expr.degrees)
-        return f"CI({expr.n}; {degrees})"
-    raise TypeError(f"not a variety expression: {expr!r}")
+# A union operand of a product, and a right operand that binds no tighter
+# than its parent, need parentheses.
+def _render_join(node: VarietyExpr, left: str, right: str) -> str:
+    if isinstance(node, Product):
+        if isinstance(node.left, DisjointUnion):
+            left = f"({left})"
+        if not isinstance(node.right, Atom):
+            right = f"({right})"
+        return f"{left} x {right}"
+    if isinstance(node.right, DisjointUnion):
+        right = f"({right})"
+    return f"{left} + {right}"

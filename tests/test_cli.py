@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import time
+from math import comb
 
 import pytest
 
@@ -241,6 +242,7 @@ def assert_one_line_error(code, out, err, expected_code=1):
     ["oracle", "Hyp(3," + str(10 ** 1434) + ")"],
     ["compute", "P(" + "9" * 5000 + ")"],
     ["betti", "Curve(" + "1" * 2001 + ")"],
+    ["betti", "CI(68; " + ",".join(["9" * 500] * 4) + ")"],
 ])
 def test_integers_beyond_the_digit_bound_exit_one(argv, capsys):
     assert_one_line_error(*run(argv, capsys))
@@ -299,6 +301,24 @@ def test_betti_and_oracle_keep_their_positional_arguments():
     out = io.StringIO()
     assert cli.cmd_oracle("P(2)", out) == 0
     assert out.getvalue().endswith("vertex local de Rham dims: (0, 0, 0)\n")
+
+
+def test_long_union_chain_computes(capsys):
+    # 1500 disjoint lines: lambda_{0,1} = 1499 and the corner counts them
+    code, out, err = run(["compute", " + ".join(["P(1)"] * 1500),
+                          "--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    assert out == "i,j,lambda\n0,1,1499\n2,2,1500\n"
+
+
+def test_long_product_chain_betti(capsys):
+    # (P^1)^1000 has beta_{2k} = C(1000, k) and no odd cohomology
+    code, out, err = run(["betti", " x ".join(["P(1)"] * 1000),
+                          "--max-dim", "1000", "--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [int(beta) for _, beta in rows] == [
+        comb(1000, j // 2) if j % 2 == 0 else 0 for j in range(2001)]
 
 
 @pytest.mark.parametrize("payload", [

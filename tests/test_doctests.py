@@ -2,18 +2,16 @@
 
 import doctest
 import importlib
+import pkgutil
 
 import pytest
 
-_MODULE_NAMES = [
-    "lyubeznik.betti",
-    "lyubeznik.graph",
-    "lyubeznik.oracle",
-    "lyubeznik.parser",
-    "lyubeznik.series",
-    "lyubeznik.table",
-    "lyubeznik.variety",
-]
+import lyubeznik
+
+# Every module of the package except the entry point __main__.
+_MODULE_NAMES = sorted(f"lyubeznik.{info.name}"
+                       for info in pkgutil.iter_modules(lyubeznik.__path__)
+                       if info.name != "__main__")
 
 
 @pytest.mark.parametrize("name", _MODULE_NAMES)

@@ -17,6 +17,7 @@ from lyubeznik import (
     Product,
     ProjSpace,
     SemanticError,
+    dimension,
     parse_variety,
     render,
 )
@@ -141,3 +142,10 @@ def test_parsing_is_total(text):
         parse_variety(text)
     except (ParseError, SemanticError):
         pass
+
+
+def test_long_union_chain_round_trips():
+    text = " + ".join(["P(1)"] * 20000)
+    expr = parse_variety(text)
+    assert dimension(expr) == 1
+    assert render(expr) == text

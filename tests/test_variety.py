@@ -13,6 +13,7 @@ from lyubeznik import (
     Product,
     ProjSpace,
     SemanticError,
+    betti,
     dimension,
     render,
 )
@@ -103,3 +104,21 @@ def test_degrees_are_normalized_to_tuples():
     ci = CompleteIntersection(5, [2, 3])
     assert ci.degrees == (2, 3)
     assert hash(ci) == hash(CompleteIntersection(5, (2, 3)))
+
+
+def test_deep_trees_need_no_recursion():
+    # 5000 levels is five times the interpreter's default recursion limit
+    depth = 5000
+    unions = products = right_unions = ProjSpace(1)
+    for _ in range(depth):
+        unions = DisjointUnion(unions, ProjSpace(1))
+        products = Product(products, ProjSpace(1))
+        right_unions = DisjointUnion(ProjSpace(1), right_unions)
+    assert dimension(unions) == dimension(right_unions) == 1
+    assert dimension(products) == depth + 1
+    assert render(unions) == " + ".join(["P(1)"] * (depth + 1))
+    assert render(products) == " x ".join(["P(1)"] * (depth + 1))
+    assert render(right_unions) == (
+        "P(1) + (" * (depth - 1) + "P(1) + P(1)" + ")" * (depth - 1))
+    assert betti(unions).betti == betti(right_unions).betti == (
+        depth + 1, 0, depth + 1)
