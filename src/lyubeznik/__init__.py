@@ -25,16 +25,10 @@ from .betti import (
     euler_char_ci,
     kunneth,
 )
-from .graph import (
-    ComponentGraph,
-    GammaGraph,
-    GraphError,
-    count_components,
-    gamma_graph,
-)
-from .oracle import ConeLocalDims, cone_local_derham_dims
+from .graph import ComponentGraph, GraphError, corner_from_graph
+from .oracle import cone_local_derham_dims
 from .parser import ParseError, parse_variety
-from .table import LyubeznikTable, corner_from_graph, lyubeznik_table
+from .table import LyubeznikTable, lyubeznik_table
 from .variety import (
     Abelian,
     CompleteIntersection,
@@ -60,11 +54,9 @@ __all__ = [
     "BettiVector",
     "CompleteIntersection",
     "ComponentGraph",
-    "ConeLocalDims",
     "Curve",
     "DimensionMismatchError",
     "DisjointUnion",
-    "GammaGraph",
     "GraphError",
     "Grassmannian",
     "Hypersurface",
@@ -84,11 +76,9 @@ __all__ = [
     "check_lefschetz_admissible",
     "cone_local_derham_dims",
     "corner_from_graph",
-    "count_components",
     "dimension",
     "disjoint_union_betti",
     "euler_char_ci",
-    "gamma_graph",
     "kunneth",
     "lyubeznik_table",
     "parse_variety",

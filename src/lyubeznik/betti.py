@@ -15,6 +15,7 @@ from math import comb, prod
 
 from .variety import (
     Abelian,
+    Atom,
     CompleteIntersection,
     Curve,
     DimensionMismatchError,
@@ -23,7 +24,6 @@ from .variety import (
     Product,
     ProjSpace,
     VarietyExpr,
-    fold,
 )
 
 
@@ -132,24 +132,24 @@ def _partitions_in_box(rows: int, cols: int) -> list:
     """Counts, by size, of the partitions fitting in a rows x cols box.
 
     Entry i is the number of partitions of i with at most ``rows`` parts,
-    each part at most ``cols``.  Dynamic programming over part values with
-    a budget on the number of parts; no polynomial division involved.
+    each part at most ``cols``: the q^i coefficient of the Gaussian
+    binomial prod_{k=1..rows} (1 - q^(cols+k)) / (1 - q^k).  Multiplying by
+    1 - q^m in place is c[t] -= c[t-m] for t descending, and dividing by
+    1 - q^k is c[t] += c[t-k] for t ascending; modulo q^(total+1) both
+    steps are exact, and the product is a polynomial of degree total.
 
     >>> _partitions_in_box(2, 2)
     [1, 1, 2, 1, 1]
     """
     total = rows * cols
-    # counts[p][i]: partitions of i into exactly p parts, all values <= the
-    # largest value processed so far
-    counts = [[0] * (total + 1) for _ in range(rows + 1)]
-    counts[0][0] = 1
-    for value in range(1, cols + 1):
-        for p in range(1, rows + 1):
-            lower = counts[p - 1]
-            row = counts[p]
-            for i in range(value, total + 1):
-                row[i] += lower[i - value]
-    return [sum(counts[p][i] for p in range(rows + 1)) for i in range(total + 1)]
+    c = [1] + [0] * total
+    for k in range(1, rows + 1):
+        m = cols + k
+        for t in range(total, m - 1, -1):
+            c[t] -= c[t - m]
+        for t in range(k, total + 1):
+            c[t] += c[t - k]
+    return c
 
 
 def betti_grassmannian(k: int, n: int) -> BettiVector:
@@ -275,13 +275,25 @@ _ATOM_BETTI = {
 
 
 def betti(expr: VarietyExpr) -> BettiVector:
-    """Betti vector of an arbitrary variety expression.
+    """Betti vector of an arbitrary variety expression: Kunneth at each
+    product and sums at each disjoint union, evaluated bottom-up.
+
+    The walk keeps its own stack, so the depth of the tree is not bounded
+    by the interpreter's recursion limit.
 
     >>> str(betti(Product(Curve(1), ProjSpace(1))))
     '(1, 2, 2, 2, 1)'
     """
-    return fold(expr, lambda atom: _ATOM_BETTI[type(atom)](atom), _betti_join)
-
-
-def _betti_join(node: VarietyExpr, a: BettiVector, b: BettiVector) -> BettiVector:
-    return kunneth(a, b) if isinstance(node, Product) else disjoint_union_betti(a, b)
+    values = []
+    stack = [(expr, False)]
+    while stack:
+        node, operands_done = stack.pop()
+        if operands_done:
+            right = values.pop()
+            join = kunneth if isinstance(node, Product) else disjoint_union_betti
+            values[-1] = join(values[-1], right)
+        elif isinstance(node, Atom):
+            values.append(_ATOM_BETTI[type(node)](node))
+        else:
+            stack += ((node, True), (node.right, False), (node.left, False))
+    return values[0]

@@ -16,13 +16,12 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .betti import AdmissibilityError, InternalConsistencyError, betti
-from .graph import ComponentGraph, GraphError
+from .graph import ComponentGraph, GraphError, corner_from_graph
 from .oracle import cone_local_derham_dims
 from .parser import MAX_INT_DIGITS, ParseError, parse_variety
-from .table import LyubeznikTable, corner_from_graph, lyubeznik_table
+from .table import LyubeznikTable, lyubeznik_table
 from .variety import SemanticError, dimension, render
 
 _DEFAULT_MAX_DIM = 64
@@ -33,24 +32,12 @@ class _UserError(Exception):
     """A request the user can fix; reported on stderr with exit code 1."""
 
 
-@dataclass(frozen=True)
-class OutputDocument:
-    """Everything the compute command reports for one expression."""
-
-    expr: str
-    dim: int
-    betti: tuple
-    table: LyubeznikTable
-    nonzero: tuple
-    verified: bool
-
-
 def _betti_text(b) -> str:
     return "(" + ", ".join(str(v) for v in b) + ")"
 
 
-def _document_text(doc: OutputDocument) -> str:
-    table = doc.table
+def _document_text(expr_text: str, vec, table: LyubeznikTable,
+                   verified: bool) -> str:
     d = table.dim_a
     top = [str(v) for v in table.first_row]
     column = [str(v) for v in table.last_column()]
@@ -59,10 +46,10 @@ def _document_text(doc: OutputDocument) -> str:
     label_width = max(len(label), len(str(d)))
     header = " ".join(f"{j:>{width}}" for j in range(d + 1))
     lines = [
-        f"expression: {doc.expr}",
-        f"dimension: {doc.dim}",
-        f"betti: {_betti_text(doc.betti)}",
-        f"verified: {'yes' if doc.verified else 'skipped'}",
+        f"expression: {expr_text}",
+        f"dimension: {vec.dim}",
+        f"betti: {_betti_text(vec)}",
+        f"verified: {'yes' if verified else 'skipped'}",
         "",
         f"{label:>{label_width}} | {header}",
         "-" * (label_width + 3 + len(header)),
@@ -103,14 +90,15 @@ def _json_table(table: LyubeznikTable) -> str:
     return _json_array(rows, 1)
 
 
-def _document_json(doc: OutputDocument) -> str:
+def _document_json(expr_text: str, vec, table: LyubeznikTable,
+                   verified: bool) -> str:
     return _json_object([
-        ("expr", json.dumps(doc.expr)),
-        ("dim", str(doc.dim)),
-        ("betti", _json_ints(doc.betti, 1)),
-        ("table", _json_table(doc.table)),
-        ("nonzero", _json_array([_json_ints(e, 2) for e in doc.nonzero], 1)),
-        ("verified", "true" if doc.verified else "false"),
+        ("expr", json.dumps(expr_text)),
+        ("dim", str(vec.dim)),
+        ("betti", _json_ints(vec.betti, 1)),
+        ("table", _json_table(table)),
+        ("nonzero", _json_array([_json_ints(e, 2) for e in table.nonzero()], 1)),
+        ("verified", "true" if verified else "false"),
     ])
 
 
@@ -149,20 +137,18 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
     table = lyubeznik_table(vec)
     verified = False
     if verify:
-        dims = tuple(cone_local_derham_dims(vec))
+        dims = cone_local_derham_dims(vec)
         if dims != table.first_row[:r + 1]:
             raise InternalConsistencyError(
                 f"oracle mismatch for {render(expr)}: exact-sequence dims "
                 f"{dims} vs table first row {table.first_row[:r + 1]}")
         verified = True
-    doc = OutputDocument(render(expr), r, vec.betti, table, table.nonzero(),
-                         verified)
-    if fmt == "json":
-        out.write(_document_json(doc))
-    elif fmt == "csv":
-        out.write(_csv_text(["i", "j", "lambda"], doc.nonzero))
+    if fmt == "csv":
+        out.write(_csv_text(["i", "j", "lambda"], table.nonzero()))
+    elif fmt == "json":
+        out.write(_document_json(render(expr), vec, table, verified))
     else:
-        out.write(_document_text(doc))
+        out.write(_document_text(render(expr), vec, table, verified))
     return 0
 
 

@@ -104,70 +104,35 @@ class ComponentGraph:
         return cls(tuple(components), tuple(intersections))
 
 
-@dataclass(frozen=True)
-class GammaGraph:
-    """Graph on the top-dimensional components: vertex names plus edges as
-    index pairs into ``vertices``."""
+def corner_from_graph(g: ComponentGraph) -> int:
+    """Corner entry lambda_{r+1,r+1} from component-intersection data:
+    the number of connected components of the graph on the components of
+    maximal dimension r, joined when an intersection has dimension
+    exactly r - 1.
 
-    top_dim: int
-    vertices: tuple
-    edges: tuple
-
-
-def gamma_graph(g: ComponentGraph) -> GammaGraph:
-    """Induced graph on the components of maximal dimension r, with an
-    edge exactly when the recorded intersection has dimension r - 1.
-
-    >>> g = ComponentGraph((("A", 2), ("B", 1)), ((0, 1, 1),))
-    >>> gamma_graph(g).vertices
-    ('A',)
+    >>> corner_from_graph(ComponentGraph((("A", 2), ("B", 2)), ((0, 1, 1),)))
+    1
+    >>> corner_from_graph(ComponentGraph((("A", 2), ("B", 2)), ((0, 1, -1),)))
+    2
+    >>> corner_from_graph(ComponentGraph((("A", 2), ("B", 1)), ((0, 1, 1),)))
+    1
     """
     if not g.components:
         raise GraphError("at least one component is required")
     r = max(dim for _, dim in g.components)
-    vertex_of = {}
-    vertices = []
-    for idx, (name, dim) in enumerate(g.components):
-        if dim == r:
-            vertex_of[idx] = len(vertices)
-            vertices.append(name)
-    edges = set()
-    for i, j, dim in g.intersections:
-        if i in vertex_of and j in vertex_of and dim == r - 1:
-            a, b = vertex_of[i], vertex_of[j]
-            edges.add((min(a, b), max(a, b)))
-    return GammaGraph(r, tuple(vertices), tuple(sorted(edges)))
+    # Union-find over the top-dimensional components, each pointing at
+    # itself until it is joined to another.
+    parent = {idx: idx for idx, (_, dim) in enumerate(g.components) if dim == r}
 
-
-class _UnionFind:
-    """Union-find over 0..n-1 with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
+    def find(a: int) -> int:
         root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
         return root
 
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(a)] = self.find(b)
-
-
-def count_components(g: GammaGraph) -> int:
-    """Number of connected components of the graph.
-
-    >>> count_components(GammaGraph(2, ("A", "B"), ()))
-    2
-    >>> count_components(GammaGraph(2, ("A", "B"), ((0, 1),)))
-    1
-    """
-    if not g.vertices:
-        raise GraphError("empty vertex set")
-    uf = _UnionFind(len(g.vertices))
-    for a, b in g.edges:
-        uf.union(a, b)
-    return len({uf.find(v) for v in range(len(g.vertices))})
+    for i, j, dim in g.intersections:
+        if dim == r - 1 and i in parent and j in parent:
+            parent[find(i)] = find(j)
+    return sum(1 for idx in parent if parent[idx] == idx)

@@ -11,36 +11,7 @@ The closed-form first-row formulas are never consulted; agreement of the
 two routes is the package's central self-check.
 """
 
-from dataclasses import dataclass
-
 from .betti import AdmissibilityError, BettiVector
-
-
-@dataclass(frozen=True)
-class ConeLocalDims:
-    """Dimensions (dim H^0, ..., dim H^r) of the local de Rham cohomology
-    at the cone vertex; the degree-0 entry is always 0."""
-
-    dims: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(self.dims))
-        if not self.dims:
-            raise ValueError("at least the degree-0 entry is required")
-        if any(not isinstance(v, int) or v < 0 for v in self.dims):
-            raise ValueError(f"entries must be nonnegative integers, got {self.dims}")
-        if self.dims[0] != 0:
-            raise ValueError(
-                f"degree-0 local cohomology must vanish, got {self.dims[0]}")
-
-    def __getitem__(self, j: int) -> int:
-        return self.dims[j]
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.dims)
 
 
 def _solve_exact(dims: list, context: str) -> int:
@@ -60,12 +31,13 @@ def _solve_exact(dims: list, context: str) -> int:
     return solved
 
 
-def cone_local_derham_dims(b: BettiVector) -> ConeLocalDims:
-    """Local de Rham cohomology dimensions at the cone vertex, degrees 0..r.
+def cone_local_derham_dims(b: BettiVector) -> tuple:
+    """Local de Rham cohomology dimensions (dim H^0, ..., dim H^r) at the
+    cone vertex; the degree-0 entry is always 0.
 
-    >>> cone_local_derham_dims(BettiVector(2, (1, 2, 2, 2, 1))).dims
+    >>> cone_local_derham_dims(BettiVector(2, (1, 2, 2, 2, 1)))
     (0, 0, 2)
-    >>> cone_local_derham_dims(BettiVector(2, (1, 0, 1, 0, 1))).dims
+    >>> cone_local_derham_dims(BettiVector(2, (1, 0, 1, 0, 1)))
     (0, 0, 0)
     """
     r = b.dim
@@ -81,4 +53,4 @@ def cone_local_derham_dims(b: BettiVector) -> ConeLocalDims:
         # with negative-degree cohomology read as zero.
         below = b[j - 3] if j >= 3 else 0
         dims.append(_solve_exact([below, b[j - 1], None], f"degree {j}"))
-    return ConeLocalDims(tuple(dims))
+    return tuple(dims)

@@ -11,7 +11,6 @@ the corner, and derives every other entry when it is read.
 from dataclasses import dataclass
 
 from .betti import AdmissibilityError, BettiVector, check_lefschetz_admissible
-from .graph import ComponentGraph, count_components, gamma_graph
 
 
 @dataclass(frozen=True)
@@ -108,15 +107,3 @@ def lyubeznik_table(b: BettiVector) -> LyubeznikTable:
     row.append(0)
     return LyubeznikTable(r + 1, tuple(row), beta[0])
 
-
-def corner_from_graph(g: ComponentGraph) -> int:
-    """Corner entry lambda_{r+1,r+1} from component-intersection data:
-    the number of connected components of the graph on top-dimensional
-    pieces, joined when an intersection has dimension exactly r - 1.
-
-    >>> corner_from_graph(ComponentGraph((("A", 2), ("B", 2)), ((0, 1, 1),)))
-    1
-    >>> corner_from_graph(ComponentGraph((("A", 2), ("B", 2)), ((0, 1, -1),)))
-    2
-    """
-    return count_components(gamma_graph(g))

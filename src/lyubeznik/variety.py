@@ -165,27 +165,6 @@ class DisjointUnion(VarietyExpr):
         object.__setattr__(self, "dim", dl)
 
 
-def fold(expr: VarietyExpr, leaf, join):
-    """Evaluate ``expr`` bottom-up: ``leaf(atom)`` at each atom and
-    ``join(node, left_value, right_value)`` at each product or union.
-
-    The walk keeps its own stack, so the depth of the tree is not bounded
-    by the interpreter's recursion limit.
-    """
-    values = []
-    stack = [(expr, False)]
-    while stack:
-        node, operands_done = stack.pop()
-        if operands_done:
-            right = values.pop()
-            values[-1] = join(node, values[-1], right)
-        elif isinstance(node, Atom):
-            values.append(leaf(node))
-        else:
-            stack += ((node, True), (node.right, False), (node.left, False))
-    return values[0]
-
-
 def dimension(expr: VarietyExpr) -> int:
     """Total dimension of the variety described by ``expr``.
 
@@ -213,18 +192,25 @@ def render(expr: VarietyExpr) -> str:
     >>> render(CompleteIntersection(5, (2, 2)))
     'CI(5; 2,2)'
     """
-    return fold(expr, lambda atom: atom.text(), _render_join)
-
-
-# A union operand of a product, and a right operand that binds no tighter
-# than its parent, need parentheses.
-def _render_join(node: VarietyExpr, left: str, right: str) -> str:
-    if isinstance(node, Product):
-        if isinstance(node.left, DisjointUnion):
-            left = f"({left})"
-        if not isinstance(node.right, Atom):
-            right = f"({right})"
-        return f"{left} x {right}"
-    if isinstance(node.right, DisjointUnion):
-        right = f"({right})"
-    return f"{left} + {right}"
+    parts = []
+    stack = [expr]  # nodes still to write and literal strings, last one first
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Atom):
+            parts.append(item.text())
+        elif isinstance(item, Product):
+            # A union operand of a product, and a right operand that is not
+            # an atom, need parentheses.  Pushed right first, so that the
+            # left operand is written first.
+            right, left = item.right, item.left
+            stack += (")", right, "(") if not isinstance(right, Atom) else (right,)
+            stack.append(" x ")
+            stack += (")", left, "(") if isinstance(left, DisjointUnion) else (left,)
+        else:
+            # A union as the right operand of a union needs parentheses.
+            right = item.right
+            stack += (")", right, "(") if isinstance(right, DisjointUnion) else (right,)
+            stack += (" + ", item.left)
+    return "".join(parts)

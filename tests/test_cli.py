@@ -9,7 +9,6 @@ from math import comb
 import pytest
 
 import lyubeznik.cli as cli
-from lyubeznik import ConeLocalDims
 from lyubeznik.cli import main
 
 
@@ -215,7 +214,7 @@ def test_help_exits_zero(capsys):
 def test_oracle_mismatch_exits_two(monkeypatch, capsys):
     # force a wrong oracle answer to prove the cross-check wiring trips
     monkeypatch.setattr(cli, "cone_local_derham_dims",
-                        lambda vec: ConeLocalDims((0,) * (vec.dim + 1)))
+                        lambda vec: (0,) * (vec.dim + 1))
     code, out, err = run(["compute", "Curve(1) x P(1)"], capsys)
     assert code == 2
     assert out == ""

@@ -1,8 +1,9 @@
-"""Run the usage examples embedded in the library docstrings."""
+"""Run the usage examples embedded in the library docstrings and the README."""
 
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +22,9 @@ def test_module_doctests(name):
     module = importlib.import_module(name)
     failures, _ = doctest.testmod(module, verbose=False)
     assert failures == 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).parents[1] / "README.md"
+    failures, tries = doctest.testfile(str(readme), module_relative=False)
+    assert tries > 0 and failures == 0

@@ -1,4 +1,5 @@
-"""Component graphs: induced top-dimensional graph and component counting."""
+"""Component graphs: validation, and the corner entry as the number of
+connected components of the graph on top-dimensional components."""
 
 import random
 
@@ -9,50 +10,41 @@ from hypothesis import strategies as st
 from lyubeznik import (
     ComponentGraph,
     DisjointUnion,
-    GammaGraph,
     GraphError,
     betti,
     corner_from_graph,
-    count_components,
     dimension,
-    gamma_graph,
 )
 import corpus as corpus_module
 
 
 def test_two_components_meeting_in_a_curve():
     g = ComponentGraph((("A", 2), ("B", 2)), ((0, 1, 1),))
-    gamma = gamma_graph(g)
-    assert gamma.vertices == ("A", "B")
-    assert gamma.edges == ((0, 1),)
-    assert count_components(gamma) == 1
+    assert corner_from_graph(g) == 1
 
 
 def test_two_components_meeting_in_a_point_stay_apart():
     g = ComponentGraph((("A", 2), ("B", 2)), ((0, 1, 0),))
-    gamma = gamma_graph(g)
-    assert gamma.edges == ()
-    assert count_components(gamma) == 2
+    assert corner_from_graph(g) == 2
 
 
 def test_lower_dimensional_components_are_dropped():
     g = ComponentGraph((("A", 2), ("B", 1)), ((0, 1, 1),))
-    gamma = gamma_graph(g)
-    assert gamma.vertices == ("A",)
-    assert gamma.edges == ()
-    assert count_components(gamma) == 1
+    assert corner_from_graph(g) == 1
+    # two surfaces both meeting the same curve in the curve stay apart
+    g = ComponentGraph((("A", 2), ("B", 1), ("C", 2)), ((0, 1, 1), (1, 2, 1)))
+    assert corner_from_graph(g) == 2
 
 
 def test_empty_intersections_make_no_edges():
     g = ComponentGraph((("A", 3), ("B", 3)), ((0, 1, -1),))
-    assert gamma_graph(g).edges == ()
     assert corner_from_graph(g) == 2
 
 
 def test_path_of_three_components():
     g = ComponentGraph(
         (("A", 2), ("B", 2), ("C", 2)), ((0, 1, 1), (1, 2, 1)))
-    assert count_components(gamma_graph(g)) == 1
+    assert corner_from_graph(g) == 1
 
 
 def test_mixed_connectivity():
@@ -62,13 +54,8 @@ def test_mixed_connectivity():
 
 
 def test_empty_component_list_rejected():
-    with pytest.raises(GraphError):
-        gamma_graph(ComponentGraph(()))
-
-
-def test_count_components_needs_vertices():
-    with pytest.raises(GraphError):
-        count_components(GammaGraph(2, (), ()))
+    with pytest.raises(GraphError, match="at least one component is required"):
+        corner_from_graph(ComponentGraph(()))
 
 
 @pytest.mark.parametrize("components,intersections", [
@@ -170,3 +157,59 @@ def test_union_corner_matches_piece_count():
         graph, s = graph_of_disjoint_pieces(expr)
         assert s == len(pieces)
         assert corner_from_graph(graph) == s == betti(expr)[0]
+
+
+def bfs_component_count(g):
+    """Connected components of the graph on the top-dimensional components,
+    counted by breadth-first search over an adjacency list."""
+    r = max(dim for _, dim in g.components)
+    top = [idx for idx, (_, dim) in enumerate(g.components) if dim == r]
+    neighbours = {idx: [] for idx in top}
+    for i, j, dim in g.intersections:
+        if dim == r - 1 and i in neighbours and j in neighbours:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+    seen = set()
+    count = 0
+    for start in top:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = [start]
+        while queue:
+            for nxt in neighbours[queue.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return count
+
+
+@st.composite
+def component_graphs(draw):
+    """Random valid graphs with top dimension r, some components of lower
+    dimension, and intersections of dimension -1..min of the two ends, so
+    that (r-1)-dimensional intersections also touch lower components."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    dims = draw(st.lists(st.integers(min_value=0, max_value=r), min_size=1, max_size=12))
+    if r not in dims:
+        dims.append(r)
+    n = len(dims)
+    intersections = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            dim = draw(st.integers(min_value=-2, max_value=min(dims[i], dims[j])))
+            if dim >= -1:  # -2: leave the pair unrecorded
+                # weight towards r - 1, the only dimension that joins
+                if dim >= 0 and draw(st.booleans()):
+                    dim = min(r - 1, dims[i], dims[j])
+                pair = (j, i) if draw(st.booleans()) else (i, j)
+                intersections.append((*pair, dim))
+    return ComponentGraph(tuple((f"V{i}", d) for i, d in enumerate(dims)),
+                          tuple(intersections))
+
+
+@settings(max_examples=300)
+@given(component_graphs())
+def test_corner_matches_breadth_first_count(g):
+    assert corner_from_graph(g) == bfs_component_count(g)
