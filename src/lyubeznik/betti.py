@@ -10,7 +10,6 @@ validator of the matching atom, so a bad argument raises its
 values immutable.
 """
 
-from dataclasses import dataclass
 from math import comb, prod
 
 from .variety import (
@@ -23,6 +22,7 @@ from .variety import (
     Hypersurface,
     Product,
     ProjSpace,
+    Value,
     VarietyExpr,
 )
 
@@ -35,8 +35,7 @@ class InternalConsistencyError(RuntimeError):
     """A computed value failed an invariant it must satisfy; always a bug."""
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(Value):
     """Dimension r together with the 2r + 1 Betti numbers beta_0..beta_{2r}.
 
     Construction checks only shape and nonnegativity, so vectors that fail
@@ -47,21 +46,20 @@ class BettiVector:
     (1, 2, 1)
     """
 
-    dim: int
-    betti: tuple
+    __slots__ = fields = ("dim", "betti")
 
-    def __post_init__(self):
-        object.__setattr__(self, "betti", tuple(self.betti))
-        if self.dim < 0:
-            raise ValueError(f"dimension must be nonnegative, got {self.dim}")
-        if len(self.betti) != 2 * self.dim + 1:
+    def __init__(self, dim: int, betti):
+        betti = tuple(betti)
+        if dim < 0:
+            raise ValueError(f"dimension must be nonnegative, got {dim}")
+        if len(betti) != 2 * dim + 1:
             raise ValueError(
-                f"dimension {self.dim} needs {2 * self.dim + 1} entries, "
-                f"got {len(self.betti)}")
-        for j, b in enumerate(self.betti):
+                f"dimension {dim} needs {2 * dim + 1} entries, got {len(betti)}")
+        for j, b in enumerate(betti):
             if not isinstance(b, int) or b < 0:
-                raise ValueError(
-                    f"beta_{j} must be a nonnegative integer, got {b!r}")
+                raise ValueError(f"beta_{j} must be a nonnegative integer, got {b!r}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "betti", betti)
 
     def __getitem__(self, j: int) -> int:
         return self.betti[j]
@@ -76,13 +74,15 @@ class BettiVector:
         return "(" + ", ".join(str(b) for b in self.betti) + ")"
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Value):
     """Outcome of ``check_lefschetz_admissible``; truthy iff the vector passed."""
 
-    ok: bool
-    reason: str = ""
-    pair: tuple = ()
+    __slots__ = fields = ("ok", "reason", "pair")
+
+    def __init__(self, ok: bool, reason: str = "", pair: tuple = ()):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "pair", pair)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -12,8 +12,6 @@ Output is deterministic: identical invocations produce identical bytes.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -32,10 +30,6 @@ class _UserError(Exception):
     """A request the user can fix; reported on stderr with exit code 1."""
 
 
-def _betti_text(b) -> str:
-    return "(" + ", ".join(str(v) for v in b) + ")"
-
-
 def _document_text(expr_text: str, vec, table: LyubeznikTable,
                    verified: bool) -> str:
     d = table.dim_a
@@ -48,7 +42,7 @@ def _document_text(expr_text: str, vec, table: LyubeznikTable,
     lines = [
         f"expression: {expr_text}",
         f"dimension: {vec.dim}",
-        f"betti: {_betti_text(vec)}",
+        f"betti: {vec}",
         f"verified: {'yes' if verified else 'skipped'}",
         "",
         f"{label:>{label_width}} | {header}",
@@ -102,12 +96,9 @@ def _document_json(expr_text: str, vec, table: LyubeznikTable,
     ])
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header: str, rows) -> str:
+    """``header`` (a line of its own) and one line per row of integers."""
+    return header + "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
 def _parse_bounded(expr_text: str, max_dim: int):
@@ -144,7 +135,7 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
                 f"{dims} vs table first row {table.first_row[:r + 1]}")
         verified = True
     if fmt == "csv":
-        out.write(_csv_text(["i", "j", "lambda"], table.nonzero()))
+        out.write(_csv_text("i,j,lambda\n", table.nonzero()))
     elif fmt == "json":
         out.write(_document_json(render(expr), vec, table, verified))
     else:
@@ -162,11 +153,11 @@ def cmd_betti(expr_text: str, fmt: str = "text", out=None,
                                 ("dim", str(vec.dim)),
                                 ("betti", _json_ints(vec.betti, 1))]))
     elif fmt == "csv":
-        out.write(_csv_text(["j", "beta"], enumerate(vec)))
+        out.write(_csv_text("j,beta\n", enumerate(vec)))
     else:
         out.write(f"expression: {render(expr)}\n"
                   f"dimension: {vec.dim}\n"
-                  f"betti: {_betti_text(vec)}\n")
+                  f"betti: {vec}\n")
     return 0
 
 
@@ -177,7 +168,7 @@ def cmd_oracle(expr_text: str, out=None, max_dim: int = _DEFAULT_MAX_DIM) -> int
     dims = cone_local_derham_dims(vec)
     out.write(f"expression: {render(expr)}\n"
               f"dimension: {vec.dim}\n"
-              f"vertex local de Rham dims: {_betti_text(dims)}\n")
+              f"vertex local de Rham dims: {dims}\n")
     return 0
 
 

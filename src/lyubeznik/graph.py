@@ -7,7 +7,7 @@ dimension r - 1, and its number of connected components is the corner
 entry of the Lyubeznik table.
 """
 
-from dataclasses import dataclass
+from .variety import Value
 
 
 class GraphError(ValueError):
@@ -19,49 +19,47 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ComponentGraph:
+class ComponentGraph(Value):
     """Named components with dimensions plus pairwise intersection dimensions.
 
     Intersections are index triples (i, j, dim); an absent pair means an
     empty intersection, which may also be recorded explicitly as dim -1.
     """
 
-    components: tuple
-    intersections: tuple = ()
+    __slots__ = fields = ("components", "intersections")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           tuple(tuple(c) for c in self.components))
-        object.__setattr__(self, "intersections",
-                           tuple(tuple(x) for x in self.intersections))
-        for name, dim in self.components:
+    def __init__(self, components, intersections=()):
+        components = tuple(tuple(c) for c in components)
+        intersections = tuple(tuple(x) for x in intersections)
+        for name, dim in components:
             if not isinstance(name, str):
                 raise GraphError(f"component name must be a string, got {name!r}")
             if not _is_int(dim) or dim < 0:
                 raise GraphError(
                     f"component dimension must be a nonnegative integer, got {dim!r}")
-        n = len(self.components)
+        n = len(components)
         seen = set()
-        for i, j, dim in self.intersections:
+        for i, j, dim in intersections:
             if not (_is_int(i) and _is_int(j)):
                 raise GraphError(f"intersection indices must be integers: ({i!r}, {j!r})")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"intersection indices out of range: ({i}, {j})")
             if i == j:
                 raise GraphError(
-                    f"component {self.components[i][0]!r} cannot intersect itself")
+                    f"component {components[i][0]!r} cannot intersect itself")
             if not _is_int(dim) or dim < -1:
                 raise GraphError(
                     f"intersection dimension must be an integer >= -1, got {dim!r}")
-            if dim > min(self.components[i][1], self.components[j][1]):
+            if dim > min(components[i][1], components[j][1]):
                 raise GraphError(
-                    f"intersection of {self.components[i][0]!r} and "
-                    f"{self.components[j][0]!r} cannot exceed either dimension")
+                    f"intersection of {components[i][0]!r} and "
+                    f"{components[j][0]!r} cannot exceed either dimension")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise GraphError(f"duplicate intersection record for pair {key}")
             seen.add(key)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "intersections", intersections)
 
     @classmethod
     def from_json_dict(cls, data) -> "ComponentGraph":

@@ -13,7 +13,7 @@ Every input either yields a valid tree or raises ``ParseError`` (with the
 offset and the tokens that would have been accepted) or ``SemanticError``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .variety import (
     Atom,
@@ -38,12 +38,8 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT, NAME, one of "(),;+x", or END
-    text: str
-    pos: int
-    value: int = 0
+# kind is INT, NAME, one of "(),;+x", or END; value is an INT's value.
+_Token = namedtuple("_Token", "kind text pos value", defaults=(0,))
 
 
 # Every integer the program prints has at most MAX_INT_DIGITS decimal
@@ -183,7 +179,7 @@ class _Parser:
             return cls(values[0], tuple(values[1:]))
         if semi:
             raise SemanticError(f"{name} does not take ';' arguments (only CI does)")
-        arity = len(cls.__match_args__)
+        arity = len(cls.fields)
         if len(values) != arity:
             raise SemanticError(
                 f"{name} takes {arity} argument(s), got {len(values)}")

@@ -8,13 +8,11 @@ other entry vanishes.  The table therefore stores only the first row and
 the corner, and derives every other entry when it is read.
 """
 
-from dataclasses import dataclass
-
 from .betti import AdmissibilityError, BettiVector, check_lefschetz_admissible
+from .variety import Value
 
 
-@dataclass(frozen=True)
-class LyubeznikTable:
+class LyubeznikTable(Value):
     """(d+1) x (d+1) table of lambda_{i,j} values, where d = r + 1 is the
     dimension of the local ring at the cone vertex.
 
@@ -28,21 +26,21 @@ class LyubeznikTable:
     (2, 1, 0)
     """
 
-    dim_a: int
-    first_row: tuple
-    corner: int
+    __slots__ = fields = ("dim_a", "first_row", "corner")
 
-    def __post_init__(self):
-        d = self.dim_a
-        if d < 2:
-            raise ValueError(f"the cone over a variety has dimension >= 2, got {d}")
-        object.__setattr__(self, "first_row", tuple(self.first_row))
-        if len(self.first_row) != d + 1:
-            raise ValueError(f"the first row must have {d + 1} entries")
-        if self.first_row[0] != 0 or self.first_row[d] != 0:
-            raise ValueError(f"lambda_(0,0) and lambda_(0,{d}) must vanish")
-        if self.corner < 1:
+    def __init__(self, dim_a: int, first_row, corner: int):
+        if dim_a < 2:
+            raise ValueError(f"the cone over a variety has dimension >= 2, got {dim_a}")
+        first_row = tuple(first_row)
+        if len(first_row) != dim_a + 1:
+            raise ValueError(f"the first row must have {dim_a + 1} entries")
+        if first_row[0] != 0 or first_row[dim_a] != 0:
+            raise ValueError(f"lambda_(0,0) and lambda_(0,{dim_a}) must vanish")
+        if corner < 1:
             raise ValueError("the corner entry counts components and must be positive")
+        object.__setattr__(self, "dim_a", dim_a)
+        object.__setattr__(self, "first_row", first_row)
+        object.__setattr__(self, "corner", corner)
 
     def __getitem__(self, key) -> int:
         i, j = key

@@ -5,11 +5,65 @@ Each atom is one class: its syntax name, its fields (the arguments of
 ``NAME(a,b,...)``, in order), its validator, its dimension and its
 rendering live there and nowhere else.  Constructor constraints are
 enforced at construction time, so every reachable tree describes a
-nonsingular projective variety of dimension at least 1.  All values here
-are frozen and safe to share.
+nonsingular projective variety of dimension at least 1.
+
+Every value class of the package derives from ``Value``, defined here
+because every other module imports this one.
 """
 
-from dataclasses import dataclass
+
+class Value:
+    """An immutable value whose state is its constructor arguments, named
+    once, in order, in ``fields`` (also its ``__slots__``).  Equality,
+    hashing and ``repr`` walk nested values with an explicit stack, so the
+    depth of a tree is not bounded by the recursion limit."""
+
+    __slots__ = fields = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: values are immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        # Preorder: each value's class, its plain field values, nested values.
+        key, stack = [], [self]
+        while stack:
+            value = stack.pop()
+            key.append(type(value))
+            nested = []
+            for f in value.fields:
+                x = getattr(value, f)
+                (nested if isinstance(x, Value) else key).append(x)
+            stack += reversed(nested)
+        return tuple(key)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        # Values still to write and literal strings, last one first.
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Value):
+                parts.append(item)
+                continue
+            items = [type(item).__qualname__ + "("]
+            for i, f in enumerate(item.fields):
+                x = getattr(item, f)
+                items += ((", " if i else "") + f + "=",
+                          x if isinstance(x, Value) else repr(x))
+            stack += reversed(items + [")"])
+        return "".join(parts)
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self.fields])
 
 
 class SemanticError(ValueError):
@@ -25,15 +79,11 @@ def _require(condition: bool, message: str) -> None:
         raise SemanticError(message)
 
 
-class VarietyExpr:
-    """Base class for variety expressions.
+class VarietyExpr(Value):
+    """Base class for variety expressions.  Every node stores its
+    dimension ``dim`` when it is built, in a slot that is not a field."""
 
-    Every node stores its dimension ``dim`` when it is built.  It is a
-    plain attribute, not a dataclass field, so equality, hashing and
-    ``repr`` see only the constructor arguments.
-    """
-
-    dim: int
+    __slots__ = ("dim",)
 
     def __str__(self) -> str:
         return render(self)
@@ -45,123 +95,122 @@ class Atom(VarietyExpr):
     order.  The subclasses, in definition order, are the atoms the parser
     knows."""
 
+    __slots__ = ()
+
     def text(self) -> str:
-        # A dataclass lists its constructor fields, in order, in __match_args__.
-        args = ",".join([str(getattr(self, f)) for f in self.__match_args__])
+        args = ",".join([str(getattr(self, f)) for f in self.fields])
         return f"{self.name}({args})"
 
 
-@dataclass(frozen=True)
 class ProjSpace(Atom):
     """Projective space of dimension n >= 1."""
 
     name = "P"
-    n: int
+    __slots__ = fields = ("n",)
 
-    def __post_init__(self):
-        _require(self.n >= 1, f"P(n) requires n >= 1, got n={self.n}")
-        object.__setattr__(self, "dim", self.n)
+    def __init__(self, n: int):
+        _require(n >= 1, f"P(n) requires n >= 1, got n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dim", n)
 
 
-@dataclass(frozen=True)
 class Grassmannian(Atom):
     """Grassmannian of k-dimensional subspaces of n-space, 0 < k < n."""
 
     name = "Gr"
-    k: int
-    n: int
+    __slots__ = fields = ("k", "n")
 
-    def __post_init__(self):
-        _require(0 < self.k < self.n,
-                 f"Gr(k,n) requires 0 < k < n, got k={self.k}, n={self.n}")
-        object.__setattr__(self, "dim", self.k * (self.n - self.k))
+    def __init__(self, k: int, n: int):
+        _require(0 < k < n, f"Gr(k,n) requires 0 < k < n, got k={k}, n={n}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dim", k * (n - k))
 
 
-@dataclass(frozen=True)
 class Curve(Atom):
     """Nonsingular projective curve of genus g >= 0."""
 
     name = "Curve"
-    g: int
+    __slots__ = fields = ("g",)
 
-    def __post_init__(self):
-        _require(self.g >= 0, f"Curve(g) requires g >= 0, got g={self.g}")
+    def __init__(self, g: int):
+        _require(g >= 0, f"Curve(g) requires g >= 0, got g={g}")
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "dim", 1)
 
 
-@dataclass(frozen=True)
 class Abelian(Atom):
     """Abelian variety of dimension g >= 1."""
 
     name = "Ab"
-    g: int
+    __slots__ = fields = ("g",)
 
-    def __post_init__(self):
-        _require(self.g >= 1, f"Ab(g) requires g >= 1, got g={self.g}")
-        object.__setattr__(self, "dim", self.g)
+    def __init__(self, g: int):
+        _require(g >= 1, f"Ab(g) requires g >= 1, got g={g}")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "dim", g)
 
 
-@dataclass(frozen=True)
 class Hypersurface(Atom):
     """Nonsingular degree-d hypersurface in P^n, so of dimension n - 1."""
 
     name = "Hyp"
-    n: int
-    d: int
+    __slots__ = fields = ("n", "d")
 
-    def __post_init__(self):
-        _require(self.n >= 2, f"Hyp(n,d) requires n >= 2, got n={self.n}")
-        _require(self.d >= 1, f"Hyp(n,d) requires d >= 1, got d={self.d}")
-        object.__setattr__(self, "dim", self.n - 1)
+    def __init__(self, n: int, d: int):
+        _require(n >= 2, f"Hyp(n,d) requires n >= 2, got n={n}")
+        _require(d >= 1, f"Hyp(n,d) requires d >= 1, got d={d}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "dim", n - 1)
 
 
-@dataclass(frozen=True)
 class CompleteIntersection(Atom):
     """Nonsingular complete intersection in P^n of the given multidegree,
     written ``CI(n; d1,...,dc)``."""
 
     name = "CI"
-    n: int
-    degrees: tuple
+    __slots__ = fields = ("n", "degrees")
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        c = len(self.degrees)
+    def __init__(self, n: int, degrees):
+        degrees = tuple(degrees)
+        c = len(degrees)
         _require(c >= 1, "CI(n; ...) requires at least one degree")
-        _require(all(isinstance(d, int) and d >= 1 for d in self.degrees),
-                 f"CI degrees must be integers >= 1, got {self.degrees}")
-        _require(self.n - c >= 1,
-                 f"CI(n; d1,...,dc) requires dimension n - c >= 1, "
-                 f"got n={self.n}, c={c}")
-        object.__setattr__(self, "dim", self.n - c)
+        _require(all(isinstance(d, int) and d >= 1 for d in degrees),
+                 f"CI degrees must be integers >= 1, got {degrees}")
+        _require(n - c >= 1, f"CI(n; d1,...,dc) requires dimension n - c >= 1, "
+                             f"got n={n}, c={c}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "dim", n - c)
 
     def text(self) -> str:
         return f"CI({self.n}; {','.join(str(d) for d in self.degrees)})"
 
 
-@dataclass(frozen=True)
 class Product(VarietyExpr):
     """Product of two varieties; dimensions add."""
 
-    left: VarietyExpr
-    right: VarietyExpr
+    __slots__ = fields = ("left", "right")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", self.left.dim + self.right.dim)
+    def __init__(self, left: VarietyExpr, right: VarietyExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "dim", left.dim + right.dim)
 
 
-@dataclass(frozen=True)
 class DisjointUnion(VarietyExpr):
     """Disjoint union of two varieties of the same dimension."""
 
-    left: VarietyExpr
-    right: VarietyExpr
+    __slots__ = fields = ("left", "right")
 
-    def __post_init__(self):
-        dl, dr = self.left.dim, self.right.dim
+    def __init__(self, left: VarietyExpr, right: VarietyExpr):
+        dl, dr = left.dim, right.dim
         if dl != dr:
             raise DimensionMismatchError(
                 f"disjoint union requires equal dimensions, got {dl} and {dr}")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
         object.__setattr__(self, "dim", dl)
 
 

@@ -3,8 +3,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -351,3 +355,16 @@ def test_unexpected_exceptions_exit_two(monkeypatch, capsys):
     code, out, err = run(["compute", "P(2)"], capsys)
     assert_one_line_error(code, out, err, expected_code=2)
     assert err == "internal error: RuntimeError: broken on two lines\n"
+
+
+def test_startup_imports_stay_lean():
+    # The package declares its values without dataclasses and writes CSV
+    # without the csv module; neither, nor inspect, is loaded at start-up.
+    src = Path(cli.__file__).parents[1]
+    probe = ("import sys, lyubeznik.cli; "
+             "print([m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-S", "-c", probe],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

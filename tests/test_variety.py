@@ -1,15 +1,23 @@
-"""Expression tree construction, dimensions, and the canonical renderer."""
+"""Expression tree construction, dimensions, the canonical renderer, and
+the value behaviour shared by every value class."""
+
+import copy
+import pickle
 
 import pytest
 
 from lyubeznik import (
     Abelian,
+    AdmissibilityReport,
+    BettiVector,
     CompleteIntersection,
+    ComponentGraph,
     Curve,
     DimensionMismatchError,
     DisjointUnion,
     Grassmannian,
     Hypersurface,
+    LyubeznikTable,
     Product,
     ProjSpace,
     SemanticError,
@@ -106,14 +114,19 @@ def test_degrees_are_normalized_to_tuples():
     assert hash(ci) == hash(CompleteIntersection(5, (2, 3)))
 
 
-def test_deep_trees_need_no_recursion():
-    # 5000 levels is five times the interpreter's default recursion limit
-    depth = 5000
+def _deep_trees(depth):
     unions = products = right_unions = ProjSpace(1)
     for _ in range(depth):
         unions = DisjointUnion(unions, ProjSpace(1))
         products = Product(products, ProjSpace(1))
         right_unions = DisjointUnion(ProjSpace(1), right_unions)
+    return unions, products, right_unions
+
+
+def test_deep_trees_need_no_recursion():
+    # 5000 levels is five times the interpreter's default recursion limit
+    depth = 5000
+    unions, products, right_unions = _deep_trees(depth)
     assert dimension(unions) == dimension(right_unions) == 1
     assert dimension(products) == depth + 1
     assert render(unions) == " + ".join(["P(1)"] * (depth + 1))
@@ -122,3 +135,52 @@ def test_deep_trees_need_no_recursion():
         "P(1) + (" * (depth - 1) + "P(1) + P(1)" + ")" * (depth - 1))
     assert betti(unions).betti == betti(right_unions).betti == (
         depth + 1, 0, depth + 1)
+    # Equality, hashing and repr walk the trees too: each tree against a
+    # second build of it, and its repr against the dataclass form.
+    one = "ProjSpace(n=1)"
+    left_nested = f", right={one})" * depth
+    reprs = ("DisjointUnion(left=" * depth + one + left_nested,
+             "Product(left=" * depth + one + left_nested,
+             f"DisjointUnion(left={one}, right=" * depth + one + ")" * depth)
+    for tree, again, text in zip((unions, products, right_unions),
+                                 _deep_trees(depth), reprs):
+        assert tree == again and tree is not again
+        assert hash(tree) == hash(again)
+        assert repr(tree) == text
+
+
+# One instance of every value class and the repr a frozen dataclass of the
+# same fields prints for it.
+_VALUES = [
+    (lambda: ProjSpace(1), "ProjSpace(n=1)"),
+    (lambda: Grassmannian(2, 4), "Grassmannian(k=2, n=4)"),
+    (lambda: Curve(1), "Curve(g=1)"),
+    (lambda: Abelian(2), "Abelian(g=2)"),
+    (lambda: Hypersurface(4, 5), "Hypersurface(n=4, d=5)"),
+    (lambda: CompleteIntersection(5, [2, 3]), "CompleteIntersection(n=5, degrees=(2, 3))"),
+    (lambda: Product(Curve(1), ProjSpace(1)),
+     "Product(left=Curve(g=1), right=ProjSpace(n=1))"),
+    (lambda: DisjointUnion(ProjSpace(1), Curve(1)),
+     "DisjointUnion(left=ProjSpace(n=1), right=Curve(g=1))"),
+    (lambda: BettiVector(1, (1, 2, 1)), "BettiVector(dim=1, betti=(1, 2, 1))"),
+    (lambda: LyubeznikTable(3, (0, 0, 2, 0), 1),
+     "LyubeznikTable(dim_a=3, first_row=(0, 0, 2, 0), corner=1)"),
+    (lambda: AdmissibilityReport(True), "AdmissibilityReport(ok=True, reason='', pair=())"),
+    (lambda: ComponentGraph([["A", 2]]), "ComponentGraph(components=(('A', 2),), intersections=())"),
+]
+
+
+@pytest.mark.parametrize("build, text", _VALUES, ids=[t[:t.index("(")] for _, t in _VALUES])
+def test_value_behaviour(build, text):
+    value, rebuilt = build(), build()
+    assert repr(value) == text
+    assert value == rebuilt and hash(value) == hash(rebuilt)
+    # Values of different classes differ, even with equal fields, such as
+    # ProjSpace(1) and Curve(1).
+    assert all(value != other() for other, _ in _VALUES if other is not build)
+    first_field = text[text.index("(") + 1:text.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(value, first_field, getattr(value, first_field))
+    assert value == rebuilt
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
