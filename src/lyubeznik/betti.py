@@ -1,16 +1,16 @@
 """Exact de Rham Betti vectors for variety expressions.
 
-Every constructor returns the full vector (beta_0, ..., beta_{2r}) with
+``betti`` returns the full vector (beta_0, ..., beta_{2r}) with
 arbitrary-precision integer entries.  Vectors produced here satisfy
 Poincare duality and the hard Lefschetz step inequalities; the checker
 ``check_lefschetz_admissible`` verifies those constraints for vectors of
-unknown origin.  The constructors check their arguments with the
-validator of the matching atom, so a bad argument raises its
-``SemanticError`` (a ``ValueError``).  All functions are pure and all
-values immutable.
+unknown origin.  Each ``betti_<atom>(...)`` is ``betti(Atom(...))``, so a
+bad argument raises the atom's ``SemanticError`` (a ``ValueError``).  All
+functions are pure and all values immutable.
 """
 
 from math import comb, prod
+from operator import add
 
 from .variety import (
     Abelian,
@@ -100,20 +100,20 @@ def check_lefschetz_admissible(b: BettiVector) -> AdmissibilityReport:
     >>> check_lefschetz_admissible(BettiVector(2, (1, 0, 2, 0, 2))).pair
     (0, 4)
     """
-    r = b.dim
-    if b[0] < 1:
-        return AdmissibilityReport(False, f"beta_0 = {b[0]} must be positive", (0, 0))
+    r, beta = b.dim, b.betti
+    if beta[0] < 1:
+        return AdmissibilityReport(False, f"beta_0 = {beta[0]} must be positive", (0, 0))
     for j in range(r):
-        if b[j] != b[2 * r - j]:
+        if beta[j] != beta[2 * r - j]:
             return AdmissibilityReport(
                 False,
-                f"duality fails: beta_{j} = {b[j]} != beta_{2 * r - j} = {b[2 * r - j]}",
+                f"duality fails: beta_{j} = {beta[j]} != beta_{2 * r - j} = {beta[2 * r - j]}",
                 (j, 2 * r - j))
     for j in range(r - 1):
-        if b[j] > b[j + 2]:
+        if beta[j] > beta[j + 2]:
             return AdmissibilityReport(
                 False,
-                f"hard Lefschetz fails: beta_{j} = {b[j]} > beta_{j + 2} = {b[j + 2]}",
+                f"hard Lefschetz fails: beta_{j} = {beta[j]} > beta_{j + 2} = {beta[j + 2]}",
                 (j, j + 2))
     return AdmissibilityReport(True)
 
@@ -124,8 +124,7 @@ def betti_projective_space(n: int) -> BettiVector:
     >>> str(betti_projective_space(3))
     '(1, 0, 1, 0, 1, 0, 1)'
     """
-    ProjSpace(n)
-    return BettiVector(n, tuple(1 if j % 2 == 0 else 0 for j in range(2 * n + 1)))
+    return betti(ProjSpace(n))
 
 
 def _partitions_in_box(rows: int, cols: int) -> list:
@@ -161,18 +160,12 @@ def betti_grassmannian(k: int, n: int) -> BettiVector:
     >>> str(betti_grassmannian(2, 4))
     '(1, 0, 1, 0, 2, 0, 1, 0, 1)'
     """
-    r = Grassmannian(k, n).dim
-    counts = _partitions_in_box(k, n - k)
-    betti = [0] * (2 * r + 1)
-    for i, c in enumerate(counts):
-        betti[2 * i] = c
-    return BettiVector(r, tuple(betti))
+    return betti(Grassmannian(k, n))
 
 
 def betti_curve(g: int) -> BettiVector:
     """Betti vector (1, 2g, 1) of a nonsingular curve of genus g."""
-    Curve(g)
-    return BettiVector(1, (1, 2 * g, 1))
+    return betti(Curve(g))
 
 
 def betti_abelian(g: int) -> BettiVector:
@@ -181,8 +174,7 @@ def betti_abelian(g: int) -> BettiVector:
     >>> str(betti_abelian(2))
     '(1, 4, 6, 4, 1)'
     """
-    Abelian(g)
-    return BettiVector(g, tuple(comb(2 * g, j) for j in range(2 * g + 1)))
+    return betti(Abelian(g))
 
 
 def euler_char_ci(n: int, degrees) -> int:
@@ -220,25 +212,16 @@ def betti_complete_intersection(n: int, degrees) -> BettiVector:
     >>> str(betti_complete_intersection(3, [4]))
     '(1, 0, 22, 0, 1)'
     """
-    ci = CompleteIntersection(n, degrees)
-    degrees, r = ci.degrees, ci.dim
-    chi = euler_char_ci(n, degrees)
-    betti = [1 if j % 2 == 0 else 0 for j in range(2 * r + 1)]
-    betti[r] = 0
-    off_middle = sum(b if j % 2 == 0 else -b for j, b in enumerate(betti))
-    middle = chi - off_middle if r % 2 == 0 else -(chi - off_middle)
-    if middle < 0:
-        raise InternalConsistencyError(
-            f"middle Betti number came out negative ({middle}) "
-            f"for n={n}, degrees={degrees}")
-    betti[r] = middle
-    vec = BettiVector(r, tuple(betti))
-    report = check_lefschetz_admissible(vec)
-    if not report:
-        raise InternalConsistencyError(
-            f"inadmissible complete intersection vector for n={n}, "
-            f"degrees={degrees}: {report.reason}")
-    return vec
+    return betti(CompleteIntersection(n, degrees))
+
+
+def _convolve(a: tuple, b: tuple) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
+    for p, ap in enumerate(a):
+        if ap:
+            for q, bq in enumerate(b):
+                out[p + q] += ap * bq
+    return tuple(out)
 
 
 def kunneth(a: BettiVector, b: BettiVector) -> BettiVector:
@@ -247,12 +230,7 @@ def kunneth(a: BettiVector, b: BettiVector) -> BettiVector:
     >>> str(kunneth(BettiVector(1, (1, 2, 1)), betti_projective_space(1)))
     '(1, 2, 2, 2, 1)'
     """
-    out = [0] * (len(a) + len(b) - 1)
-    for p, ap in enumerate(a):
-        if ap:
-            for q, bq in enumerate(b):
-                out[p + q] += ap * bq
-    return BettiVector(a.dim + b.dim, tuple(out))
+    return BettiVector(a.dim + b.dim, _convolve(a.betti, b.betti))
 
 
 def disjoint_union_betti(a: BettiVector, b: BettiVector) -> BettiVector:
@@ -260,17 +238,41 @@ def disjoint_union_betti(a: BettiVector, b: BettiVector) -> BettiVector:
     if a.dim != b.dim:
         raise DimensionMismatchError(
             f"disjoint union requires equal dimensions, got {a.dim} and {b.dim}")
-    return BettiVector(a.dim, tuple(x + y for x, y in zip(a, b)))
+    return BettiVector(a.dim, tuple(map(add, a.betti, b.betti)))
 
 
-# The Betti vector of each atom, from its fields.
+def _grassmannian(a: Grassmannian) -> tuple:
+    betti = [0] * (2 * a.dim + 1)
+    betti[::2] = _partitions_in_box(a.k, a.n - a.k)
+    return tuple(betti)
+
+
+def _complete_intersection(n: int, degrees: tuple, r: int) -> tuple:
+    # Off the middle degree the vector is P^r's (weak Lefschetz), whose
+    # alternating sum there is r + r % 2; the Euler characteristic forces
+    # the middle entry.  P^r's vector is admissible, so only the hard
+    # Lefschetz step beta_{r-2} <= beta_r involves the middle: the vector is
+    # admissible iff the middle is at least beta_{r-2}, which is 1 for even
+    # r and 0 for odd r (r = 1 has no step at all).
+    excess = euler_char_ci(n, degrees) - (r + r % 2)
+    middle = -excess if r % 2 else excess
+    if middle < (0 if r % 2 else 1):
+        raise InternalConsistencyError(
+            f"inadmissible complete intersection vector for n={n}, "
+            f"degrees={degrees}: middle Betti number beta_{r} = {middle}")
+    betti = [1, 0] * r + [1]
+    betti[r] = middle
+    return tuple(betti)
+
+
+# The Betti numbers of each atom, read from its already validated fields.
 _ATOM_BETTI = {
-    ProjSpace: lambda a: betti_projective_space(a.n),
-    Grassmannian: lambda a: betti_grassmannian(a.k, a.n),
-    Curve: lambda a: betti_curve(a.g),
-    Abelian: lambda a: betti_abelian(a.g),
-    Hypersurface: lambda a: betti_complete_intersection(a.n, (a.d,)),
-    CompleteIntersection: lambda a: betti_complete_intersection(a.n, a.degrees),
+    ProjSpace: lambda a: (1, 0) * a.n + (1,),
+    Grassmannian: _grassmannian,
+    Curve: lambda a: (1, 2 * a.g, 1),
+    Abelian: lambda a: tuple([comb(2 * a.g, j) for j in range(2 * a.g + 1)]),
+    Hypersurface: lambda a: _complete_intersection(a.n, (a.d,), a.dim),
+    CompleteIntersection: lambda a: _complete_intersection(a.n, a.degrees, a.dim),
 }
 
 
@@ -278,8 +280,10 @@ def betti(expr: VarietyExpr) -> BettiVector:
     """Betti vector of an arbitrary variety expression: Kunneth at each
     product and sums at each disjoint union, evaluated bottom-up.
 
-    The walk keeps its own stack, so the depth of the tree is not bounded
-    by the interpreter's recursion limit.
+    The walk keeps its own stack and carries plain tuples; the tree
+    already guarantees equal dimensions at each union, and one
+    ``BettiVector`` is built, and checked, at the root.  The depth of the
+    tree is not bounded by the interpreter's recursion limit.
 
     >>> str(betti(Product(Curve(1), ProjSpace(1))))
     '(1, 2, 2, 2, 1)'
@@ -290,10 +294,10 @@ def betti(expr: VarietyExpr) -> BettiVector:
         node, operands_done = stack.pop()
         if operands_done:
             right = values.pop()
-            join = kunneth if isinstance(node, Product) else disjoint_union_betti
-            values[-1] = join(values[-1], right)
+            values[-1] = (_convolve(values[-1], right) if isinstance(node, Product)
+                          else tuple(map(add, values[-1], right)))
         elif isinstance(node, Atom):
             values.append(_ATOM_BETTI[type(node)](node))
         else:
             stack += ((node, True), (node.right, False), (node.left, False))
-    return values[0]
+    return BettiVector(expr.dim, values[0])

@@ -40,17 +40,17 @@ def cone_local_derham_dims(b: BettiVector) -> tuple:
     >>> cone_local_derham_dims(BettiVector(2, (1, 0, 1, 0, 1)))
     (0, 0, 0)
     """
-    r = b.dim
+    r, beta = b.dim, b.betti
     if r < 1:
         raise ValueError("need a variety of dimension r >= 1")
     dims = [0]  # the vertex cohomology vanishes in degree 0
     # 0 -> k -> H^0(V) -> H^1_vertex -> 0
-    dims.append(_solve_exact([1, b[0], None], "degree 1"))
+    dims.append(_solve_exact([1, beta[0], None], "degree 1"))
     for j in range(2, r + 1):
         # Cup with the hyperplane class is injective below the middle, so
         # the long sequence splits into
         # 0 -> H^{j-3}(V) -> H^{j-1}(V) -> H^j_vertex -> 0,
         # with negative-degree cohomology read as zero.
-        below = b[j - 3] if j >= 3 else 0
-        dims.append(_solve_exact([below, b[j - 1], None], f"degree {j}"))
+        below = beta[j - 3] if j >= 3 else 0
+        dims.append(_solve_exact([below, beta[j - 1], None], f"degree {j}"))
     return tuple(dims)

@@ -188,10 +188,38 @@ class CompleteIntersection(Atom):
         return f"CI({self.n}; {','.join(str(d) for d in self.degrees)})"
 
 
+def _reduce_join(self):
+    # Pickle and deepcopy a tree as its flat post-order (atoms and join
+    # classes), so that neither recurses once per level.
+    items, stack = [], [self]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            items.append(node)
+        else:
+            items.append(type(node))
+            stack += (node.left, node.right)
+    return _from_postorder, (tuple(reversed(items)),)
+
+
+def _from_postorder(items):
+    """The tree whose post-order is ``items``: each join class takes the
+    last two values built as its operands."""
+    values = []
+    for item in items:
+        if isinstance(item, type):
+            right = values.pop()
+            values[-1] = item(values[-1], right)
+        else:
+            values.append(item)
+    return values[0]
+
+
 class Product(VarietyExpr):
     """Product of two varieties; dimensions add."""
 
     __slots__ = fields = ("left", "right")
+    __reduce__ = _reduce_join
 
     def __init__(self, left: VarietyExpr, right: VarietyExpr):
         object.__setattr__(self, "left", left)
@@ -203,6 +231,7 @@ class DisjointUnion(VarietyExpr):
     """Disjoint union of two varieties of the same dimension."""
 
     __slots__ = fields = ("left", "right")
+    __reduce__ = _reduce_join
 
     def __init__(self, left: VarietyExpr, right: VarietyExpr):
         dl, dr = left.dim, right.dim

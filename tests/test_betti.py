@@ -5,6 +5,9 @@ enumerator and the complete-intersection path against a symbolic series
 expansion; neither oracle shares code with the engine.
 """
 
+import importlib
+from math import comb
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -12,10 +15,17 @@ from hypothesis import given, settings
 from conftest import variety_exprs
 from corpus import corpus
 from lyubeznik import (
+    Abelian,
     AdmissibilityError,
     BettiVector,
+    CompleteIntersection,
+    Curve,
     DimensionMismatchError,
+    DisjointUnion,
+    Grassmannian,
+    Hypersurface,
     Product,
+    ProjSpace,
     betti,
     betti_abelian,
     betti_complete_intersection,
@@ -28,6 +38,9 @@ from lyubeznik import (
     kunneth,
     parse_variety,
 )
+
+# The module itself: the package's ``betti`` attribute is the function.
+betti_module = importlib.import_module("lyubeznik.betti")
 
 
 # --- independent oracles ---------------------------------------------------
@@ -265,3 +278,98 @@ def test_betti_vector_validation():
 
 def test_betti_vector_str():
     assert str(BettiVector(1, (1, 2, 1))) == "(1, 2, 1)"
+
+
+# --- the tuple walk against the vector-per-node walk it replaced --------------
+
+def _reference_atom(atom):
+    """Each atom's vector as the per-atom constructors built it before the
+    walk ran on tuples."""
+    r = atom.dim
+    if isinstance(atom, ProjSpace):
+        return [1 if j % 2 == 0 else 0 for j in range(2 * r + 1)]
+    if isinstance(atom, Grassmannian):
+        vec = [0] * (2 * r + 1)
+        for i, c in enumerate(betti_module._partitions_in_box(atom.k, atom.n - atom.k)):
+            vec[2 * i] = c
+        return vec
+    if isinstance(atom, Curve):
+        return [1, 2 * atom.g, 1]
+    if isinstance(atom, Abelian):
+        return [comb(2 * atom.g, j) for j in range(2 * atom.g + 1)]
+    degrees = (atom.d,) if isinstance(atom, Hypersurface) else atom.degrees
+    chi = euler_char_ci(atom.n, degrees)
+    vec = [1 if j % 2 == 0 else 0 for j in range(2 * r + 1)]
+    vec[r] = 0
+    off_middle = sum(b if j % 2 == 0 else -b for j, b in enumerate(vec))
+    vec[r] = chi - off_middle if r % 2 == 0 else -(chi - off_middle)
+    return vec
+
+
+def _reference_betti(expr):
+    """The nested convolution loop at each product and the componentwise
+    sum at each union, folded over the tree."""
+    if isinstance(expr, (Product, DisjointUnion)):
+        a, b = _reference_betti(expr.left), _reference_betti(expr.right)
+        if isinstance(expr, DisjointUnion):
+            return [x + y for x, y in zip(a, b)]
+        out = [0] * (len(a) + len(b) - 1)
+        for p, ap in enumerate(a):
+            for q, bq in enumerate(b):
+                out[p + q] += ap * bq
+        return out
+    return _reference_atom(expr)
+
+
+def _assert_walks_agree(expr):
+    vec = betti(expr)
+    assert vec.dim == expr.dim
+    assert list(vec.betti) == _reference_betti(expr), str(expr)
+
+
+def test_tuple_walk_matches_reference_on_corpus(expr_corpus):
+    for expr in expr_corpus:
+        _assert_walks_agree(expr)
+
+
+def test_tuple_walk_matches_reference_in_dimension_64():
+    for expr in corpus(seed=64, size=1500, max_dim=64):
+        _assert_walks_agree(expr)
+
+
+@settings(max_examples=100)
+@given(variety_exprs(max_dim=12))
+def test_tuple_walk_matches_reference_on_random_trees(expr):
+    _assert_walks_agree(expr)
+
+
+@pytest.mark.parametrize("text", [
+    "CI(33; {nines2000}) x Ab(32)",
+    "Ab(32) x CI(33; {nines2000})",
+    "Gr(8,16) + CI(65; {nines1000})",
+    "CI(5; {nines2000}) x P(1) x P(1) x Curve(7)",
+    "Hyp(3,{nines2000}) + P(1) x Curve(2) + CI(4; 2,{nines1000})",
+])
+def test_tuple_walk_matches_reference_with_huge_literals(text):
+    _assert_walks_agree(parse_variety(
+        text.format(nines2000="9" * 2000, nines1000="9" * 1000)))
+
+
+def test_betti_builds_one_vector_per_call(monkeypatch):
+    built = []
+
+    class CountingVector(BettiVector):
+        __slots__ = ()
+
+        def __init__(self, dim, values):
+            built.append(dim)
+            super().__init__(dim, values)
+
+    monkeypatch.setattr(betti_module, "BettiVector", CountingVector)
+    atoms = ["P(1)", "Curve(3)", "Ab(1)", "Hyp(2,3)", "CI(3; 2,2)", "Gr(1,2)"]
+    union_chain = " + ".join(atoms[i % len(atoms)] for i in range(300))
+    product_chain = " x ".join(atoms[i % len(atoms)] for i in range(64))
+    for text, dim in ((union_chain, 1), (product_chain, 64)):
+        built.clear()
+        vec = betti(parse_variety(text))
+        assert built == [dim] and type(vec) is CountingVector

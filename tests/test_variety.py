@@ -136,7 +136,8 @@ def test_deep_trees_need_no_recursion():
     assert betti(unions).betti == betti(right_unions).betti == (
         depth + 1, 0, depth + 1)
     # Equality, hashing and repr walk the trees too: each tree against a
-    # second build of it, and its repr against the dataclass form.
+    # second build of it, and its repr against the dataclass form.  So do
+    # pickle and deepcopy, through the trees' flat post-order.
     one = "ProjSpace(n=1)"
     left_nested = f", right={one})" * depth
     reprs = ("DisjointUnion(left=" * depth + one + left_nested,
@@ -147,6 +148,8 @@ def test_deep_trees_need_no_recursion():
         assert tree == again and tree is not again
         assert hash(tree) == hash(again)
         assert repr(tree) == text
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert copy.deepcopy(tree) == tree
 
 
 # One instance of every value class and the repr a frozen dataclass of the
