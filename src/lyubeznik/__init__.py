@@ -11,15 +11,9 @@ answer can be cross-checked.
 
 from .betti import (
     AdmissibilityError,
-    AdmissibilityReport,
     BettiVector,
     InternalConsistencyError,
     betti,
-    betti_abelian,
-    betti_complete_intersection,
-    betti_curve,
-    betti_grassmannian,
-    betti_projective_space,
     check_lefschetz_admissible,
     disjoint_union_betti,
     euler_char_ci,
@@ -50,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Abelian",
     "AdmissibilityError",
-    "AdmissibilityReport",
     "BettiVector",
     "CompleteIntersection",
     "ComponentGraph",
@@ -68,11 +61,6 @@ __all__ = [
     "SemanticError",
     "VarietyExpr",
     "betti",
-    "betti_abelian",
-    "betti_complete_intersection",
-    "betti_curve",
-    "betti_grassmannian",
-    "betti_projective_space",
     "check_lefschetz_admissible",
     "cone_local_derham_dims",
     "corner_from_graph",

@@ -4,8 +4,8 @@
 arbitrary-precision integer entries.  Vectors produced here satisfy
 Poincare duality and the hard Lefschetz step inequalities; the checker
 ``check_lefschetz_admissible`` verifies those constraints for vectors of
-unknown origin.  Each ``betti_<atom>(...)`` is ``betti(Atom(...))``, so a
-bad argument raises the atom's ``SemanticError`` (a ``ValueError``).  All
+unknown origin.  An atom's vector is ``betti(Atom(...))``, so a bad
+argument raises the atom's ``SemanticError`` (a ``ValueError``).  All
 functions are pure and all values immutable.
 """
 
@@ -28,7 +28,12 @@ from .variety import (
 
 
 class AdmissibilityError(ValueError):
-    """A Betti vector violates duality or a hard Lefschetz inequality."""
+    """A Betti vector violates duality or a hard Lefschetz inequality;
+    ``pair`` is the violated index pair, ``()`` if there is none."""
+
+    def __init__(self, reason: str, pair: tuple = ()):
+        super().__init__(reason)
+        self.pair = pair
 
 
 class InternalConsistencyError(RuntimeError):
@@ -74,57 +79,30 @@ class BettiVector(Value):
         return "(" + ", ".join(str(b) for b in self.betti) + ")"
 
 
-class AdmissibilityReport(Value):
-    """Outcome of ``check_lefschetz_admissible``; truthy iff the vector passed."""
-
-    __slots__ = fields = ("ok", "reason", "pair")
-
-    def __init__(self, ok: bool, reason: str = "", pair: tuple = ()):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "pair", pair)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_lefschetz_admissible(b: BettiVector) -> AdmissibilityReport:
+def check_lefschetz_admissible(b: BettiVector) -> None:
     """Check beta_0 >= 1, Poincare duality, and the hard Lefschetz steps
-    beta_j <= beta_{j+2} for j + 2 <= r.  Reports the first violated
-    index pair.
+    beta_j <= beta_{j+2} for j + 2 <= r.  Raises ``AdmissibilityError``
+    carrying the first violated index pair; returns None when all hold.
 
-    >>> bool(check_lefschetz_admissible(BettiVector(2, (1, 0, 2, 0, 1))))
-    True
-    >>> check_lefschetz_admissible(BettiVector(2, (1, 0, 0, 0, 1))).pair
-    (0, 2)
-    >>> check_lefschetz_admissible(BettiVector(2, (1, 0, 2, 0, 2))).pair
-    (0, 4)
+    >>> check_lefschetz_admissible(BettiVector(2, (1, 0, 2, 0, 1)))
+    >>> check_lefschetz_admissible(BettiVector(2, (1, 0, 0, 0, 1)))
+    Traceback (most recent call last):
+        ...
+    lyubeznik.betti.AdmissibilityError: hard Lefschetz fails: beta_0 = 1 > beta_2 = 0
     """
     r, beta = b.dim, b.betti
     if beta[0] < 1:
-        return AdmissibilityReport(False, f"beta_0 = {beta[0]} must be positive", (0, 0))
+        raise AdmissibilityError(f"beta_0 = {beta[0]} must be positive", (0, 0))
     for j in range(r):
         if beta[j] != beta[2 * r - j]:
-            return AdmissibilityReport(
-                False,
+            raise AdmissibilityError(
                 f"duality fails: beta_{j} = {beta[j]} != beta_{2 * r - j} = {beta[2 * r - j]}",
                 (j, 2 * r - j))
     for j in range(r - 1):
         if beta[j] > beta[j + 2]:
-            return AdmissibilityReport(
-                False,
+            raise AdmissibilityError(
                 f"hard Lefschetz fails: beta_{j} = {beta[j]} > beta_{j + 2} = {beta[j + 2]}",
                 (j, j + 2))
-    return AdmissibilityReport(True)
-
-
-def betti_projective_space(n: int) -> BettiVector:
-    """Betti vector of P^n: 1 in every even degree.
-
-    >>> str(betti_projective_space(3))
-    '(1, 0, 1, 0, 1, 0, 1)'
-    """
-    return betti(ProjSpace(n))
 
 
 def _partitions_in_box(rows: int, cols: int) -> list:
@@ -151,32 +129,6 @@ def _partitions_in_box(rows: int, cols: int) -> list:
     return c
 
 
-def betti_grassmannian(k: int, n: int) -> BettiVector:
-    """Betti vector of the Grassmannian of k-planes in n-space.
-
-    beta_{2i} counts the partitions of i inside a k x (n-k) box; the odd
-    Betti numbers vanish.
-
-    >>> str(betti_grassmannian(2, 4))
-    '(1, 0, 1, 0, 2, 0, 1, 0, 1)'
-    """
-    return betti(Grassmannian(k, n))
-
-
-def betti_curve(g: int) -> BettiVector:
-    """Betti vector (1, 2g, 1) of a nonsingular curve of genus g."""
-    return betti(Curve(g))
-
-
-def betti_abelian(g: int) -> BettiVector:
-    """Betti vector of a g-dimensional abelian variety: binomial row 2g.
-
-    >>> str(betti_abelian(2))
-    '(1, 4, 6, 4, 1)'
-    """
-    return betti(Abelian(g))
-
-
 def euler_char_ci(n: int, degrees) -> int:
     """Euler characteristic of a nonsingular complete intersection of the
     given multidegree in P^n, by exact coefficient extraction.
@@ -200,21 +152,6 @@ def euler_char_ci(n: int, degrees) -> int:
     return prod(ci.degrees) * c[order]
 
 
-def betti_complete_intersection(n: int, degrees) -> BettiVector:
-    """Betti vector of a nonsingular complete intersection in P^n.
-
-    Away from the middle degree the vector matches projective space (weak
-    Lefschetz); the middle entry is whatever the Euler characteristic
-    forces it to be.
-
-    >>> str(betti_complete_intersection(4, [5]))
-    '(1, 0, 1, 204, 1, 0, 1)'
-    >>> str(betti_complete_intersection(3, [4]))
-    '(1, 0, 22, 0, 1)'
-    """
-    return betti(CompleteIntersection(n, degrees))
-
-
 def _convolve(a: tuple, b: tuple) -> tuple:
     out = [0] * (len(a) + len(b) - 1)
     for p, ap in enumerate(a):
@@ -227,7 +164,7 @@ def _convolve(a: tuple, b: tuple) -> tuple:
 def kunneth(a: BettiVector, b: BettiVector) -> BettiVector:
     """Betti vector of a product: the convolution of the factor vectors.
 
-    >>> str(kunneth(BettiVector(1, (1, 2, 1)), betti_projective_space(1)))
+    >>> str(kunneth(BettiVector(1, (1, 2, 1)), BettiVector(1, (1, 0, 1))))
     '(1, 2, 2, 2, 1)'
     """
     return BettiVector(a.dim + b.dim, _convolve(a.betti, b.betti))

@@ -8,7 +8,7 @@ other entry vanishes.  The table therefore stores only the first row and
 the corner, and derives every other entry when it is read.
 """
 
-from .betti import AdmissibilityError, BettiVector, check_lefschetz_admissible
+from .betti import BettiVector, check_lefschetz_admissible
 from .variety import Value
 
 
@@ -94,9 +94,7 @@ def lyubeznik_table(b: BettiVector) -> LyubeznikTable:
     r = b.dim
     if r < 1:
         raise ValueError("the table is defined for varieties of dimension r >= 1")
-    report = check_lefschetz_admissible(b)
-    if not report:
-        raise AdmissibilityError(report.reason)
+    check_lefschetz_admissible(b)
     beta = b.betti
     row = [0, beta[0] - 1]
     if r >= 2:

@@ -74,11 +74,6 @@ class DimensionMismatchError(SemanticError):
     """Disjoint union of operands with different dimensions."""
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SemanticError(message)
-
-
 class VarietyExpr(Value):
     """Base class for variety expressions.  Every node stores its
     dimension ``dim`` when it is built, in a slot that is not a field."""
@@ -109,7 +104,8 @@ class ProjSpace(Atom):
     __slots__ = fields = ("n",)
 
     def __init__(self, n: int):
-        _require(n >= 1, f"P(n) requires n >= 1, got n={n}")
+        if not n >= 1:
+            raise SemanticError(f"P(n) requires n >= 1, got n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", n)
 
@@ -121,7 +117,8 @@ class Grassmannian(Atom):
     __slots__ = fields = ("k", "n")
 
     def __init__(self, k: int, n: int):
-        _require(0 < k < n, f"Gr(k,n) requires 0 < k < n, got k={k}, n={n}")
+        if not 0 < k < n:
+            raise SemanticError(f"Gr(k,n) requires 0 < k < n, got k={k}, n={n}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", k * (n - k))
@@ -134,7 +131,8 @@ class Curve(Atom):
     __slots__ = fields = ("g",)
 
     def __init__(self, g: int):
-        _require(g >= 0, f"Curve(g) requires g >= 0, got g={g}")
+        if not g >= 0:
+            raise SemanticError(f"Curve(g) requires g >= 0, got g={g}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "dim", 1)
 
@@ -146,7 +144,8 @@ class Abelian(Atom):
     __slots__ = fields = ("g",)
 
     def __init__(self, g: int):
-        _require(g >= 1, f"Ab(g) requires g >= 1, got g={g}")
+        if not g >= 1:
+            raise SemanticError(f"Ab(g) requires g >= 1, got g={g}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "dim", g)
 
@@ -158,8 +157,10 @@ class Hypersurface(Atom):
     __slots__ = fields = ("n", "d")
 
     def __init__(self, n: int, d: int):
-        _require(n >= 2, f"Hyp(n,d) requires n >= 2, got n={n}")
-        _require(d >= 1, f"Hyp(n,d) requires d >= 1, got d={d}")
+        if not n >= 2:
+            raise SemanticError(f"Hyp(n,d) requires n >= 2, got n={n}")
+        if not d >= 1:
+            raise SemanticError(f"Hyp(n,d) requires d >= 1, got d={d}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "dim", n - 1)
@@ -175,11 +176,13 @@ class CompleteIntersection(Atom):
     def __init__(self, n: int, degrees):
         degrees = tuple(degrees)
         c = len(degrees)
-        _require(c >= 1, "CI(n; ...) requires at least one degree")
-        _require(all(isinstance(d, int) and d >= 1 for d in degrees),
-                 f"CI degrees must be integers >= 1, got {degrees}")
-        _require(n - c >= 1, f"CI(n; d1,...,dc) requires dimension n - c >= 1, "
-                             f"got n={n}, c={c}")
+        if not c >= 1:
+            raise SemanticError("CI(n; ...) requires at least one degree")
+        if not all(isinstance(d, int) and d >= 1 for d in degrees):
+            raise SemanticError(f"CI degrees must be integers >= 1, got {degrees}")
+        if not n - c >= 1:
+            raise SemanticError(f"CI(n; d1,...,dc) requires dimension n - c >= 1, "
+                                f"got n={n}, c={c}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "dim", n - c)

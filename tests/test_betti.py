@@ -27,17 +27,13 @@ from lyubeznik import (
     Product,
     ProjSpace,
     betti,
-    betti_abelian,
-    betti_complete_intersection,
-    betti_curve,
-    betti_grassmannian,
-    betti_projective_space,
     check_lefschetz_admissible,
     disjoint_union_betti,
     euler_char_ci,
     kunneth,
     parse_variety,
 )
+from lyubeznik.variety import Atom
 
 # The module itself: the package's ``betti`` attribute is the function.
 betti_module = importlib.import_module("lyubeznik.betti")
@@ -70,30 +66,30 @@ def chi_symbolic(n, degrees):
 # --- projective space ------------------------------------------------------
 
 def test_projective_space_vectors():
-    assert betti_projective_space(1).betti == (1, 0, 1)
-    assert betti_projective_space(2).betti == (1, 0, 1, 0, 1)
-    assert betti_projective_space(3).betti == (1, 0, 1, 0, 1, 0, 1)
+    assert betti(ProjSpace(1)).betti == (1, 0, 1)
+    assert betti(ProjSpace(2)).betti == (1, 0, 1, 0, 1)
+    assert betti(ProjSpace(3)).betti == (1, 0, 1, 0, 1, 0, 1)
 
 
 def test_projective_space_rejects_dimension_zero():
     with pytest.raises(ValueError):
-        betti_projective_space(0)
+        betti(ProjSpace(0))
 
 
 # --- Grassmannians ---------------------------------------------------------
 
 def test_grassmannian_frozen_values():
     # frozen from the brute-force enumerator
-    assert betti_grassmannian(2, 4).betti == (1, 0, 1, 0, 2, 0, 1, 0, 1)
-    assert betti_grassmannian(2, 5).betti == (
+    assert betti(Grassmannian(2, 4)).betti == (1, 0, 1, 0, 2, 0, 1, 0, 1)
+    assert betti(Grassmannian(2, 5)).betti == (
         1, 0, 1, 0, 2, 0, 2, 0, 2, 0, 1, 0, 1)
-    assert betti_grassmannian(1, 4) == betti_projective_space(3)
+    assert betti(Grassmannian(1, 4)) == betti(ProjSpace(3))
 
 
 def test_grassmannian_against_brute_force():
     for n in range(2, 8):
         for k in range(1, n):
-            vec = betti_grassmannian(k, n)
+            vec = betti(Grassmannian(k, n))
             assert vec.dim == k * (n - k)
             for j, b in enumerate(vec):
                 expected = (partitions_brute(j // 2, n - k, k)
@@ -104,36 +100,36 @@ def test_grassmannian_against_brute_force():
 def test_grassmannian_duality_in_k():
     for n in range(2, 9):
         for k in range(1, n):
-            assert betti_grassmannian(k, n) == betti_grassmannian(n - k, n)
+            assert betti(Grassmannian(k, n)) == betti(Grassmannian(n - k, n))
 
 
 def test_grassmannian_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        betti_grassmannian(0, 3)
+        betti(Grassmannian(0, 3))
     with pytest.raises(ValueError):
-        betti_grassmannian(3, 3)
+        betti(Grassmannian(3, 3))
 
 
 # --- curves and abelian varieties -------------------------------------------
 
 def test_curve_vectors():
-    assert betti_curve(0).betti == (1, 0, 1)
-    assert betti_curve(1).betti == (1, 2, 1)
-    assert betti_curve(2).betti == (1, 4, 1)
+    assert betti(Curve(0)).betti == (1, 0, 1)
+    assert betti(Curve(1)).betti == (1, 2, 1)
+    assert betti(Curve(2)).betti == (1, 4, 1)
     with pytest.raises(ValueError):
-        betti_curve(-1)
+        betti(Curve(-1))
 
 
 def test_abelian_vectors():
-    assert betti_abelian(1).betti == (1, 2, 1)
-    assert betti_abelian(2).betti == (1, 4, 6, 4, 1)
-    assert betti_abelian(3).betti == (1, 6, 15, 20, 15, 6, 1)
+    assert betti(Abelian(1)).betti == (1, 2, 1)
+    assert betti(Abelian(2)).betti == (1, 4, 6, 4, 1)
+    assert betti(Abelian(3)).betti == (1, 6, 15, 20, 15, 6, 1)
     with pytest.raises(ValueError):
-        betti_abelian(0)
+        betti(Abelian(0))
 
 
 def test_abelian_one_equals_genus_one_curve():
-    assert betti_abelian(1) == betti_curve(1)
+    assert betti(Abelian(1)) == betti(Curve(1))
 
 
 # --- complete intersections -------------------------------------------------
@@ -155,14 +151,14 @@ def test_euler_char_against_symbolic_series():
 
 
 def test_complete_intersection_frozen_vectors():
-    assert betti_complete_intersection(4, [5]).betti == (1, 0, 1, 204, 1, 0, 1)
-    assert betti_complete_intersection(3, [4]).betti == (1, 0, 22, 0, 1)
-    assert betti_complete_intersection(3, [2]).betti == (1, 0, 2, 0, 1)
+    assert betti(CompleteIntersection(4, [5])).betti == (1, 0, 1, 204, 1, 0, 1)
+    assert betti(CompleteIntersection(3, [4])).betti == (1, 0, 22, 0, 1)
+    assert betti(CompleteIntersection(3, [2])).betti == (1, 0, 2, 0, 1)
 
 
 def test_degree_one_sections_reduce_to_projective_space():
     for n in range(2, 7):
-        assert betti_complete_intersection(n, [1]) == betti_projective_space(n - 1)
+        assert betti(CompleteIntersection(n, [1])) == betti(ProjSpace(n - 1))
 
 
 def test_known_coincidences():
@@ -174,7 +170,7 @@ def test_known_coincidences():
 
 def test_alternating_sum_equals_euler_characteristic():
     for n, ds in [(4, (5,)), (3, (2,)), (5, (2, 2)), (6, (2, 3)), (7, (2,))]:
-        vec = betti_complete_intersection(n, ds)
+        vec = betti(CompleteIntersection(n, ds))
         alternating = sum(b if j % 2 == 0 else -b for j, b in enumerate(vec))
         assert alternating == euler_char_ci(n, ds)
 
@@ -187,27 +183,27 @@ def test_ci_precondition_violations():
     with pytest.raises(ValueError):
         euler_char_ci(2, [2, 2])
     with pytest.raises(ValueError):
-        betti_complete_intersection(3, (2, 2, 2))
+        betti(CompleteIntersection(3, (2, 2, 2)))
 
 
 # --- kunneth and disjoint union ---------------------------------------------
 
 def test_kunneth_frozen_convolutions():
     assert kunneth(BettiVector(1, (1, 2, 1)),
-                   betti_projective_space(1)).betti == (1, 2, 2, 2, 1)
-    assert kunneth(betti_projective_space(1),
-                   betti_projective_space(1)).betti == (1, 0, 2, 0, 1)
+                   betti(ProjSpace(1))).betti == (1, 2, 2, 2, 1)
+    assert kunneth(betti(ProjSpace(1)),
+                   betti(ProjSpace(1))).betti == (1, 0, 2, 0, 1)
 
 
 def test_kunneth_unit_is_identity():
     unit = BettiVector(0, (1,))
-    vec = betti_abelian(2)
+    vec = betti(Abelian(2))
     assert kunneth(vec, unit) == vec
     assert kunneth(unit, vec) == vec
 
 
 def test_kunneth_dimension_adds():
-    product = kunneth(betti_projective_space(2), betti_abelian(3))
+    product = kunneth(betti(ProjSpace(2)), betti(Abelian(3)))
     assert product.dim == 5
     assert len(product) == 11
 
@@ -228,31 +224,34 @@ def test_kunneth_associates(a, b, c):
 
 def test_disjoint_union_sums():
     assert disjoint_union_betti(
-        betti_projective_space(1), betti_projective_space(1)).betti == (2, 0, 2)
+        betti(ProjSpace(1)), betti(ProjSpace(1))).betti == (2, 0, 2)
     assert disjoint_union_betti(
-        betti_curve(1), betti_projective_space(1)).betti == (2, 2, 2)
+        betti(Curve(1)), betti(ProjSpace(1))).betti == (2, 2, 2)
 
 
 def test_disjoint_union_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        disjoint_union_betti(betti_projective_space(1), betti_projective_space(2))
+        disjoint_union_betti(betti(ProjSpace(1)), betti(ProjSpace(2)))
 
 
 # --- admissibility ----------------------------------------------------------
 
 def test_admissibility_examples():
-    assert check_lefschetz_admissible(BettiVector(2, (1, 0, 2, 0, 1)))
-    report = check_lefschetz_admissible(BettiVector(2, (1, 0, 0, 0, 1)))
-    assert not report and report.pair == (0, 2)
-    report = check_lefschetz_admissible(BettiVector(2, (1, 0, 2, 0, 2)))
-    assert not report and report.pair == (0, 4)
-    report = check_lefschetz_admissible(BettiVector(1, (0, 0, 0)))
-    assert not report and report.pair == (0, 0)
+    assert check_lefschetz_admissible(BettiVector(2, (1, 0, 2, 0, 1))) is None
+    for vec, pair, reason in [
+            (BettiVector(2, (1, 0, 0, 0, 1)), (0, 2),
+             "hard Lefschetz fails: beta_0 = 1 > beta_2 = 0"),
+            (BettiVector(2, (1, 0, 2, 0, 2)), (0, 4),
+             "duality fails: beta_0 = 1 != beta_4 = 2"),
+            (BettiVector(1, (0, 0, 0)), (0, 0), "beta_0 = 0 must be positive")]:
+        with pytest.raises(AdmissibilityError) as info:
+            check_lefschetz_admissible(vec)
+        assert info.value.pair == pair and str(info.value) == reason
 
 
 def test_corpus_vectors_are_admissible(expr_corpus):
     for expr in expr_corpus:
-        assert check_lefschetz_admissible(betti(expr)), str(expr)
+        check_lefschetz_admissible(betti(expr))
 
 
 @settings(max_examples=150)
@@ -260,7 +259,7 @@ def test_corpus_vectors_are_admissible(expr_corpus):
 def test_every_expression_vector_is_admissible(expr):
     vec = betti(expr)
     assert vec.dim >= 1
-    assert check_lefschetz_admissible(vec)
+    check_lefschetz_admissible(vec)
 
 
 # --- BettiVector shape validation --------------------------------------------
@@ -353,6 +352,10 @@ def test_tuple_walk_matches_reference_on_random_trees(expr):
 def test_tuple_walk_matches_reference_with_huge_literals(text):
     _assert_walks_agree(parse_variety(
         text.format(nines2000="9" * 2000, nines1000="9" * 1000)))
+
+
+def test_every_atom_has_exactly_one_betti_entry():
+    assert set(betti_module._ATOM_BETTI) == set(Atom.__subclasses__())
 
 
 def test_betti_builds_one_vector_per_call(monkeypatch):

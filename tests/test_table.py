@@ -9,8 +9,8 @@ from lyubeznik import (
     BettiVector,
     ComponentGraph,
     LyubeznikTable,
+    ProjSpace,
     betti,
-    betti_projective_space,
     corner_from_graph,
     lyubeznik_table,
 )
@@ -34,7 +34,7 @@ def test_genus_two_curve_golden():
 
 def test_projective_spaces_have_one_nonzero_entry():
     for n in range(1, 9):
-        table = lyubeznik_table(betti_projective_space(n))
+        table = lyubeznik_table(betti(ProjSpace(n)))
         assert table.nonzero() == ((n + 1, n + 1, 1),)
 
 
