@@ -1,19 +1,24 @@
 """Recursive-descent parser for the variety expression language.
 
-Grammar (whitespace-insensitive, both operators left-associative, the
-product operator ``x`` binding tighter than the union operator ``+``):
+Grammar (both operators left-associative, the product operator ``x``
+binding tighter than the union operator ``+``):
 
     expr := prod { "+" prod }
     prod := atom { "x" atom }
     atom := NAME "(" args ")" | "(" expr ")"
     args := INT { "," INT } | INT ";" INT { "," INT }
 
+Lexical rules: any Unicode whitespace (``str.isspace``) is ignored; an
+INT is a run of ASCII digits, at most 2000 of them; a NAME is a run of
+letters (``str.isalpha``); ``x`` is always the product operator, also
+glued to a name as in ``P(1)xP(1)``, since no constructor name starts
+with ``x``.  Any other character is a syntax error.
+
 The semicolon argument form belongs to CI alone: ``CI(n; d1,...,dc)``.
 Every input either yields a valid tree or raises ``ParseError`` (with the
-offset and the tokens that would have been accepted) or ``SemanticError``.
+offset and the tokens that would have been accepted) or ``SemanticError``;
+a bad character is reported before any syntax error.
 """
-
-from collections import namedtuple
 
 from .variety import (
     Atom,
@@ -38,10 +43,6 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-# kind is INT, NAME, one of "(),;+x", or END; value is an INT's value.
-_Token = namedtuple("_Token", "kind text pos value", defaults=(0,))
-
-
 # Every integer the program prints has at most MAX_INT_DIGITS decimal
 # digits, Python's default limit for int/str conversion.  Literals have at
 # most 2000, so that a dimension built from them (k*(n-k), summed over the
@@ -51,38 +52,45 @@ _MAX_LITERAL_DIGITS = 2000
 
 
 def _lex(text: str) -> list:
+    """``(kind, text, pos, value)`` tuples: kind INT, NAME, "(),;+x" or END."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
+        elif "0" <= ch <= "9":
+            j = i + 1
             while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j - i > _MAX_LITERAL_DIGITS:
                 raise ParseError(f"integer literal longer than "
                                  f"{_MAX_LITERAL_DIGITS} digits", i)
-            tokens.append(_Token("INT", text[i:j], i, int(text[i:j])))
+            tokens.append(("INT", text[i:j], i, int(text[i:j])))
             i = j
-            continue
-        if ch.isalpha():
-            j = i
+        elif ch.isalpha():
+            j = i + 1
             while j < n and text[j].isalpha():
                 j += 1
-            word = text[i:j]
-            tokens.append(_Token("x" if word == "x" else "NAME", word, i))
-            i = j
-            continue
-        if ch in "(),;+":
-            tokens.append(_Token(ch, ch, i))
+            # each leading "x" of the run is the product operator
+            while i < j and text[i] == "x":
+                tokens.append(("x", "x", i, 0))
+                i += 1
+            if i < j:
+                tokens.append(("NAME", text[i:j], i, 0))
+                i = j
+        elif ch in "(),;+":
+            tokens.append((ch, ch, i, 0))
             i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", "", n))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("END", "", n, 0))
     return tokens
+
+
+def _unexpected(token: tuple, expected: tuple) -> ParseError:
+    got = "end of input" if token[0] == "END" else repr(token[1])
+    return ParseError(f"unexpected {got}", token[2], expected)
 
 
 _ATOMS = {cls.name: cls for cls in Atom.__subclasses__()}
@@ -91,86 +99,74 @@ _ATOMS = {cls.name: cls for cls in Atom.__subclasses__()}
 _MAX_DEPTH = 200
 
 
-class _Parser:
-    def __init__(self, tokens: list):
-        self._toks = tokens
-        self._i = 0
-        self._depth = 0
+def parse_variety(text: str) -> VarietyExpr:
+    """Parse ``text`` into a variety expression.
 
-    def _peek(self) -> _Token:
-        return self._toks[self._i]
+    >>> parse_variety("Curve(1) x P(1)")
+    Product(left=Curve(g=1), right=ProjSpace(n=1))
+    """
+    toks = _lex(text)
+    i = 0  # index of the next unread token
 
-    def _advance(self) -> _Token:
-        tok = self._toks[self._i]
-        self._i += 1
-        return tok
-
-    def _expect(self, kind: str, expected: tuple) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            got = "end of input" if tok.kind == "END" else repr(tok.text)
-            raise ParseError(f"unexpected {got}", tok.pos, expected)
-        return self._advance()
-
-    def parse(self) -> VarietyExpr:
-        expr = self._sum()
-        tok = self._peek()
-        if tok.kind != "END":
-            raise ParseError(f"unexpected {tok.text!r} after expression",
-                             tok.pos, ("'x'", "'+'", "end of input"))
+    def union(depth):
+        nonlocal i
+        expr = product(depth)
+        while toks[i][0] == "+":
+            i += 1
+            expr = DisjointUnion(expr, product(depth))
         return expr
 
-    def _sum(self) -> VarietyExpr:
-        expr = self._prod()
-        while self._peek().kind == "+":
-            self._advance()
-            expr = DisjointUnion(expr, self._prod())
+    def product(depth):
+        nonlocal i
+        expr = atom(depth)
+        while toks[i][0] == "x":
+            i += 1
+            expr = Product(expr, atom(depth))
         return expr
 
-    def _prod(self) -> VarietyExpr:
-        expr = self._atom()
-        while self._peek().kind == "x":
-            self._advance()
-            expr = Product(expr, self._atom())
+    def atom(depth):
+        # depth counts the parentheses open around this atom
+        nonlocal i
+        kind, _, pos, _ = toks[i]
+        if kind == "NAME":
+            return constructor()
+        if kind != "(":
+            raise _unexpected(toks[i], ("constructor name", "'('"))
+        if depth == _MAX_DEPTH:
+            raise ParseError("parenthesis nesting too deep", pos)
+        i += 1
+        expr = union(depth + 1)
+        if toks[i][0] != ")":
+            raise _unexpected(toks[i], ("')'",))
+        i += 1
         return expr
 
-    def _atom(self) -> VarietyExpr:
-        tok = self._peek()
-        if tok.kind == "(":
-            self._advance()
-            self._depth += 1
-            if self._depth > _MAX_DEPTH:
-                raise ParseError("parenthesis nesting too deep", tok.pos)
-            expr = self._sum()
-            self._expect(")", ("')'",))
-            self._depth -= 1
-            return expr
-        if tok.kind == "NAME":
-            return self._constructor()
-        got = "end of input" if tok.kind == "END" else repr(tok.text)
-        raise ParseError(f"unexpected {got}", tok.pos,
-                         ("constructor name", "'('"))
-
-    def _int(self) -> int:
-        return self._expect("INT", ("integer",)).value
-
-    def _constructor(self) -> VarietyExpr:
-        name_tok = self._advance()
-        name = name_tok.text
+    def constructor():
+        nonlocal i
+        _, name, pos, _ = toks[i]
         cls = _ATOMS.get(name)
         if cls is None:
-            raise ParseError(f"unknown constructor {name!r}", name_tok.pos,
+            raise ParseError(f"unknown constructor {name!r}", pos,
                              tuple(_ATOMS))
-        self._expect("(", ("'('",))
-        values = [self._int()]
-        semi = self._peek().kind == ";"
-        if semi:
-            self._advance()
-            values.append(self._int())
-        while self._peek().kind == ",":
-            self._advance()
-            values.append(self._int())
-        self._expect(")", ("')'",))
+        i += 1
+        if toks[i][0] != "(":
+            raise _unexpected(toks[i], ("'('",))
+        values, semi = [], False
+        while True:
+            i += 1
+            kind, _, _, value = toks[i]
+            if kind != "INT":
+                raise _unexpected(toks[i], ("integer",))
+            values.append(value)
+            i += 1
+            sep = toks[i][0]
+            if sep == ";" and len(values) == 1:
+                semi = True
+            elif sep != ",":
+                break
+        if sep != ")":
+            raise _unexpected(toks[i], ("')'",))
+        i += 1
         # The semicolon form belongs to CI alone; every other atom takes
         # its fields as a comma list.
         if cls is CompleteIntersection:
@@ -185,11 +181,12 @@ class _Parser:
                 f"{name} takes {arity} argument(s), got {len(values)}")
         return cls(*values)
 
-
-def parse_variety(text: str) -> VarietyExpr:
-    """Parse ``text`` into a variety expression.
-
-    >>> parse_variety("Curve(1) x P(1)")
-    Product(left=Curve(g=1), right=ProjSpace(n=1))
-    """
-    return _Parser(_lex(text)).parse()
+    try:
+        expr = union(0)
+        kind, word, pos, _ = toks[i]
+        if kind != "END":
+            raise ParseError(f"unexpected {word!r} after expression", pos,
+                             ("'x'", "'+'", "end of input"))
+        return expr
+    finally:
+        del union  # atom calls union: a cycle that would keep toks alive

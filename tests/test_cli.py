@@ -357,14 +357,26 @@ def test_unexpected_exceptions_exit_two(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: broken on two lines\n"
 
 
-def test_startup_imports_stay_lean():
-    # The package declares its values without dataclasses and writes CSV
-    # without the csv module; neither, nor inspect, is loaded at start-up.
+def _loaded_at_import(module, names):
+    """Which of ``names`` a fresh ``python -S`` has loaded after importing
+    ``module`` from this checkout."""
     src = Path(cli.__file__).parents[1]
-    probe = ("import sys, lyubeznik.cli; "
-             "print([m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules])")
+    probe = (f"import sys, {module}; "
+             f"print([m for m in {names!r} if m in sys.modules])")
     result = subprocess.run([sys.executable, "-S", "-c", probe],
                             env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_startup_imports_stay_lean():
+    # The package declares its values without dataclasses and writes CSV
+    # without the csv module; neither, nor inspect, is loaded at start-up.
+    assert _loaded_at_import("lyubeznik.cli", ("dataclasses", "inspect", "csv")) == "[]\n"
+
+
+def test_library_import_loads_no_collections_or_re():
+    # The parser lexes with a character loop and walks plain tuples, so
+    # the library itself needs neither collections nor re.
+    assert _loaded_at_import("lyubeznik", ("collections", "re", "dataclasses")) == "[]\n"
