@@ -160,13 +160,13 @@ def test_08_constructor_coincidences():
 @criterion(9, "component-graph corner counts")
 def test_09_component_graph_corner():
     edge = ComponentGraph(
-        components=(("A", 2), ("B", 2)), intersections=((0, 1, 1),)
+        components=(("A", 2), ("B", 2)), intersections=(("A", "B", 1),)
     )
     no_edge = ComponentGraph(
-        components=(("A", 2), ("B", 2)), intersections=((0, 1, 0),)
+        components=(("A", 2), ("B", 2)), intersections=(("A", "B", 0),)
     )
     sub_top = ComponentGraph(
-        components=(("A", 2), ("B", 1)), intersections=((0, 1, 1),)
+        components=(("A", 2), ("B", 1)), intersections=(("A", "B", 1),)
     )
     assert corner_from_graph(edge) == 1
     assert corner_from_graph(no_edge) == 2

@@ -183,6 +183,101 @@ def test_graph_rejects_bad_schema(tmp_path, capsys):
     assert code == 1 and "components" in err
 
 
+def _graph_doc(*intersections, components=({"name": "A", "dim": 2},
+                                           {"name": "B", "dim": 2})):
+    return {"components": list(components), "intersections": list(intersections)}
+
+
+_POINTS = ({"name": "P", "dim": 0}, {"name": "Q", "dim": 0})
+
+# One file per fault kind: each message of graph.py that a file can reach,
+# the read errors of cmd_graph, and the two r = 0 answers.  A row's file is
+# a document (written with json.dumps), text or bytes.
+_GRAPH_FILE_ROWS = [
+    ("top-level-list", [], "error: top-level JSON value must be an object\n"),
+    ("components-missing", {}, "error: 'components' must be a nonempty list\n"),
+    ("components-empty", {"components": []},
+     "error: 'components' must be a nonempty list\n"),
+    ("components-not-list", {"components": {"name": "A", "dim": 2}},
+     "error: 'components' must be a nonempty list\n"),
+    ("component-not-object", {"components": [["A", 2]]},
+     "error: component records need 'name' and 'dim': ['A', 2]\n"),
+    ("component-without-dim", {"components": [{"name": "A"}]},
+     "error: component records need 'name' and 'dim': {'name': 'A'}\n"),
+    ("component-name-int", {"components": [{"name": 3, "dim": 2}]},
+     "error: component name must be a string, got 3\n"),
+    ("component-name-null", {"components": [{"name": None, "dim": 2}]},
+     "error: component name must be a string, got None\n"),
+    ("duplicate-component-name",
+     _graph_doc(components=({"name": "A", "dim": 2}, {"name": "A", "dim": 1})),
+     "error: duplicate component name 'A'\n"),
+    ("component-dim-negative", _graph_doc(components=({"name": "A", "dim": -1},)),
+     "error: component dimension must be a nonnegative integer, got -1\n"),
+    ("component-dim-true", _graph_doc(components=({"name": "A", "dim": True},)),
+     "error: component dimension must be a nonnegative integer, got True\n"),
+    ("component-dim-float", _graph_doc(components=({"name": "A", "dim": 2.0},)),
+     "error: component dimension must be a nonnegative integer, got 2.0\n"),
+    ("component-dim-string", _graph_doc(components=({"name": "A", "dim": "2"},)),
+     "error: component dimension must be a nonnegative integer, got '2'\n"),
+    ("intersections-not-list",
+     {"components": [{"name": "A", "dim": 2}], "intersections": "nope"},
+     "error: 'intersections' must be a list\n"),
+    ("intersection-not-object", _graph_doc(["A", "B", 1]),
+     "error: intersection records need 'a', 'b' and 'dim': ['A', 'B', 1]\n"),
+    ("intersection-without-dim", _graph_doc({"a": "A", "b": "B"}),
+     "error: intersection records need 'a', 'b' and 'dim': {'a': 'A', 'b': 'B'}\n"),
+    ("unknown-endpoint", _graph_doc({"a": "A", "b": "Z", "dim": 1}),
+     "error: unknown component 'Z' in intersection record\n"),
+    ("endpoint-not-string", _graph_doc({"a": ["A"], "b": "B", "dim": 1}),
+     "error: unknown component ['A'] in intersection record\n"),
+    ("self-intersection", _graph_doc({"a": "A", "b": "A", "dim": 1}),
+     "error: component 'A' cannot intersect itself\n"),
+    ("intersection-dim-below-empty", _graph_doc({"a": "A", "b": "B", "dim": -2}),
+     "error: intersection dimension must be an integer >= -1, got -2\n"),
+    ("intersection-dim-true", _graph_doc({"a": "A", "b": "B", "dim": True}),
+     "error: intersection dimension must be an integer >= -1, got True\n"),
+    ("intersection-dim-float", _graph_doc({"a": "A", "b": "B", "dim": 0.5}),
+     "error: intersection dimension must be an integer >= -1, got 0.5\n"),
+    ("intersection-dim-too-large",
+     _graph_doc({"a": "A", "b": "B", "dim": 2},
+                components=({"name": "A", "dim": 2}, {"name": "B", "dim": 1})),
+     "error: intersection of 'A' and 'B' cannot exceed either dimension\n"),
+    ("duplicate-pair",
+     _graph_doc({"a": "A", "b": "B", "dim": 1}, {"a": "B", "b": "A", "dim": 0}),
+     "error: duplicate intersection record for pair ('A', 'B')\n"),
+    ("two-points-unrecorded", _graph_doc(components=_POINTS), "1\n"),
+    ("two-points-empty-record",
+     _graph_doc({"a": "P", "b": "Q", "dim": -1}, components=_POINTS), "1\n"),
+    ("empty-file", "", "error: Expecting value: line 1 column 1 (char 0)\n"),
+    ("malformed", "{not json", "error: Expecting property name enclosed in "
+                               "double quotes: line 1 column 2 (char 1)\n"),
+    ("nested-1e5-deep", "[" * 100000 + "]" * 100000,
+     "error: JSON values nested too deeply\n"),
+    ("5001-digit-integer", '{"components": [{"name": "A", "dim": 1' + "0" * 5000 + "}]}",
+     "error: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit\n"),
+    ("invalid-utf8", b"\xff", "error: 'utf-8' codec can't decode byte 0xff "
+                              "in position 0: invalid start byte\n"),
+]
+
+
+@pytest.mark.parametrize("content,expected", [row[1:] for row in _GRAPH_FILE_ROWS],
+                         ids=[row[0] for row in _GRAPH_FILE_ROWS])
+def test_graph_file_bytes(tmp_path, content, expected, capsys):
+    path = tmp_path / "graph.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        path.write_text(json.dumps(content), encoding="utf-8")
+    code, out, err = run(["graph", str(path)], capsys)
+    if expected.startswith("error: "):
+        assert (code, out, err) == (1, "", expected)
+    else:
+        assert (code, out, err) == (0, expected, "")
+
+
 # --- exit codes -----------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

@@ -191,7 +191,7 @@ def test_table_shape_validation(expr_corpus):
 def test_corner_from_graph_examples():
     one = ComponentGraph((("A", 2),))
     assert corner_from_graph(one) == 1
-    meeting = ComponentGraph((("A", 2), ("B", 2)), ((0, 1, 1),))
+    meeting = ComponentGraph((("A", 2), ("B", 2)), (("A", "B", 1),))
     assert corner_from_graph(meeting) == 1
-    disjoint = ComponentGraph((("A", 2), ("B", 2)), ((0, 1, -1),))
+    disjoint = ComponentGraph((("A", 2), ("B", 2)), (("A", "B", -1),))
     assert corner_from_graph(disjoint) == 2
