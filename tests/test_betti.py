@@ -11,6 +11,7 @@ from math import comb
 import pytest
 import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import variety_exprs
 from corpus import corpus
@@ -220,6 +221,26 @@ def test_kunneth_associates(a, b, c):
     left = kunneth(kunneth(betti(a), betti(b)), betti(c))
     right = kunneth(betti(a), kunneth(betti(b), betti(c)))
     assert left == right
+
+
+def convolve_naive(a, b):
+    """The product of two coefficient lists, one double sum per entry."""
+    return tuple(sum(a[p] * b[n - p] for p in range(len(a)) if 0 <= n - p < len(b))
+                 for n in range(len(a) + len(b) - 1))
+
+
+# Mostly small entries and many zeros, with the occasional huge one.
+_coefficients = st.lists(
+    st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 2 ** 200)),
+    min_size=1, max_size=40).map(tuple)
+
+
+@settings(max_examples=300)
+@given(_coefficients, _coefficients)
+def test_convolve_commutes_and_matches_double_sum(a, b):
+    expected = convolve_naive(a, b)
+    assert betti_module._convolve(a, b) == expected
+    assert betti_module._convolve(b, a) == expected
 
 
 def test_disjoint_union_sums():

@@ -73,6 +73,18 @@ def test_dimension_zero_rejected():
         cone_local_derham_dims(BettiVector(0, (1,)))
 
 
+@pytest.mark.parametrize("vec, degree", [
+    (BettiVector(1, (0, 0, 0)), 1),             # beta_0 = 0 < 1 = dim k
+    (BettiVector(3, (2, 0, 1, 0, 1, 0, 2)), 3),  # beta_0 = 2 > beta_2 = 1
+])
+def test_negative_dimension_message(vec, degree):
+    with pytest.raises(AdmissibilityError) as info:
+        cone_local_derham_dims(vec)
+    assert str(info.value) == (
+        f"exact sequence in degree {degree} forces the negative dimension -1; "
+        "a required rank exceeds its target")
+    assert info.value.pair == ()
+
 
 def test_oracle_imports_only_betti_from_the_package():
     # The cross-check is independent only if the oracle never reaches the
