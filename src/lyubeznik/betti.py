@@ -153,11 +153,16 @@ def euler_char_ci(n: int, degrees) -> int:
 
 
 def _convolve(a: tuple, b: tuple) -> tuple:
+    # Convolution commutes, so the shorter operand drives the outer loop;
+    # zero entries of either add nothing and are skipped.
+    if len(a) > len(b):
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for p, ap in enumerate(a):
         if ap:
-            for q, bq in enumerate(b):
-                out[p + q] += ap * bq
+            for n, bq in enumerate(b, p):
+                if bq:
+                    out[n] += ap * bq
     return tuple(out)
 
 

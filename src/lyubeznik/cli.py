@@ -84,6 +84,10 @@ def _json_table(table: LyubeznikTable) -> str:
     return _json_array(rows, 1)
 
 
+# One (i, j, lambda) triple of the nonzero list, at depth 2.
+_JSON_TRIPLE = "[\n      %d,\n      %d,\n      %d\n    ]"
+
+
 def _document_json(expr_text: str, vec, table: LyubeznikTable,
                    verified: bool) -> str:
     return _json_object([
@@ -91,7 +95,7 @@ def _document_json(expr_text: str, vec, table: LyubeznikTable,
         ("dim", str(vec.dim)),
         ("betti", _json_ints(vec.betti, 1)),
         ("table", _json_table(table)),
-        ("nonzero", _json_array([_json_ints(e, 2) for e in table.nonzero()], 1)),
+        ("nonzero", _json_array([_JSON_TRIPLE % e for e in table.nonzero()], 1)),
         ("verified", "true" if verified else "false"),
     ])
 
@@ -180,8 +184,11 @@ def cmd_graph(path: str, out=None) -> int:
             data = json.load(handle)
         except RecursionError:
             raise GraphError("JSON values nested too deeply") from None
-        except ValueError as exc:  # malformed text, or an integer too long to read
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise GraphError(str(exc)) from None
+        except ValueError:  # int() refuses a literal this long
+            raise GraphError(f"an integer in the file has more than "
+                             f"{MAX_INT_DIGITS} digits") from None
     graph = ComponentGraph.from_json_dict(data)
     out.write(f"{corner_from_graph(graph)}\n")
     return 0

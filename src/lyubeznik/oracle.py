@@ -2,33 +2,21 @@
 
 ``cone_local_derham_dims`` recomputes dim H^j at the cone vertex for
 j = 0..r by pure dimension bookkeeping.  Degree 0 vanishes; degree 1
-comes from the three-term sequence relating the vertex to the global
-functions; every later degree sits in a short exact sequence whose only
-geometric input is that cup product with the hyperplane class is
-injective below the middle degree, so the incoming map has full rank.
-Each unknown is solved by the alternating-sum rule for exact sequences.
-The closed-form first-row formulas are never consulted; agreement of the
-two routes is the package's central self-check.
+comes from the sequence 0 -> k -> H^0(V) -> H^1_vertex -> 0, which
+relates the vertex to the global functions; every later degree sits in
+a short exact sequence 0 -> H^{j-3}(V) -> H^{j-1}(V) -> H^j_vertex -> 0
+whose only geometric input is that cup product with the hyperplane class
+is injective below the middle degree.  So each H^j_vertex is the
+cokernel of an injective map, and its dimension is the dimension of the
+target minus that of the source: the alternating-sum rule for a short
+exact sequence.  The table code and its closed-form first-row formulas
+are never consulted; agreement of the two routes is the package's
+central self-check.
 """
 
+from operator import sub
+
 from .betti import AdmissibilityError, BettiVector
-
-
-def _solve_exact(dims: list, context: str) -> int:
-    """Solve an exact sequence 0 -> V_1 -> ... -> V_k -> 0 for its single
-    unknown entry (marked None): the alternating sum of the dimensions of
-    an exact sequence of finite-dimensional spaces vanishes."""
-    unknown = dims.index(None)
-    acc = 0
-    for pos, value in enumerate(dims):
-        if value is not None:
-            acc += value if pos % 2 == 0 else -value
-    solved = -acc if unknown % 2 == 0 else acc
-    if solved < 0:
-        raise AdmissibilityError(
-            f"exact sequence in {context} forces the negative dimension {solved}; "
-            f"a required rank exceeds its target")
-    return solved
 
 
 def cone_local_derham_dims(b: BettiVector) -> tuple:
@@ -43,14 +31,14 @@ def cone_local_derham_dims(b: BettiVector) -> tuple:
     r, beta = b.dim, b.betti
     if r < 1:
         raise ValueError("need a variety of dimension r >= 1")
-    dims = [0]  # the vertex cohomology vanishes in degree 0
-    # 0 -> k -> H^0(V) -> H^1_vertex -> 0
-    dims.append(_solve_exact([1, beta[0], None], "degree 1"))
-    for j in range(2, r + 1):
-        # Cup with the hyperplane class is injective below the middle, so
-        # the long sequence splits into
-        # 0 -> H^{j-3}(V) -> H^{j-1}(V) -> H^j_vertex -> 0,
-        # with negative-degree cohomology read as zero.
-        below = beta[j - 3] if j >= 3 else 0
-        dims.append(_solve_exact([below, beta[j - 1], None], f"degree {j}"))
-    return tuple(dims)
+    # Degree j = 1..r is the cokernel of source -> H^{j-1}(V), where the
+    # source is k for j = 1, zero for j = 2 (negative-degree cohomology)
+    # and H^{j-3}(V) from j = 3 on.
+    sources = (1, 0) + beta[:max(r - 2, 0)]
+    dims = (0,) + tuple(map(sub, beta[:r], sources))
+    if min(dims) < 0:
+        j = next(j for j, dim in enumerate(dims) if dim < 0)
+        raise AdmissibilityError(
+            f"exact sequence in degree {j} forces the negative dimension {dims[j]}; "
+            f"a required rank exceeds its target")
+    return dims
