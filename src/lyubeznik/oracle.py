@@ -35,7 +35,9 @@ def cone_local_derham_dims(b: BettiVector) -> tuple:
     # source is k for j = 1, zero for j = 2 (negative-degree cohomology)
     # and H^{j-3}(V) from j = 3 on.
     sources = (1, 0) + beta[:max(r - 2, 0)]
-    dims = (0,) + tuple(map(sub, beta[:r], sources))
+    # A display allocates the tuple once, at its size; tuple(map(...))
+    # would grow it in steps, which fragments the heap and raises peak RSS.
+    dims = (0, *map(sub, beta[:r], sources))
     if min(dims) < 0:
         j = next(j for j, dim in enumerate(dims) if dim < 0)
         raise AdmissibilityError(
