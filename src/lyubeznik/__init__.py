@@ -15,9 +15,7 @@ from .betti import (
     InternalConsistencyError,
     betti,
     check_lefschetz_admissible,
-    disjoint_union_betti,
     euler_char_ci,
-    kunneth,
 )
 from .graph import ComponentGraph, GraphError, corner_from_graph
 from .oracle import cone_local_derham_dims
@@ -65,9 +63,7 @@ __all__ = [
     "cone_local_derham_dims",
     "corner_from_graph",
     "dimension",
-    "disjoint_union_betti",
     "euler_char_ci",
-    "kunneth",
     "lyubeznik_table",
     "parse_variety",
     "render",

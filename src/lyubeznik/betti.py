@@ -5,8 +5,9 @@ arbitrary-precision integer entries.  Vectors produced here satisfy
 Poincare duality and the hard Lefschetz step inequalities; the checker
 ``check_lefschetz_admissible`` verifies those constraints for vectors of
 unknown origin.  An atom's vector is ``betti(Atom(...))``, so a bad
-argument raises the atom's ``SemanticError`` (a ``ValueError``).  All
-functions are pure and all values immutable.
+argument raises the atom's ``SemanticError`` (a ``ValueError``); a
+product's or a union's is ``betti(Product(x, y))`` or
+``betti(DisjointUnion(x, y))``.  All functions are pure and values immutable.
 """
 
 from math import comb, prod
@@ -14,16 +15,15 @@ from operator import add
 
 from .variety import (
     Abelian,
-    Atom,
     CompleteIntersection,
     Curve,
-    DimensionMismatchError,
     Grassmannian,
     Hypersurface,
     Product,
     ProjSpace,
     Value,
     VarietyExpr,
+    postorder,
 )
 
 
@@ -129,27 +129,29 @@ def _partitions_in_box(rows: int, cols: int) -> list:
     return c
 
 
-def euler_char_ci(n: int, degrees) -> int:
-    """Euler characteristic of a nonsingular complete intersection of the
-    given multidegree in P^n, by exact coefficient extraction.
+def euler_char_ci(atom) -> int:
+    """Euler characteristic of the nonsingular complete intersection
+    ``atom``, a ``CompleteIntersection`` or a ``Hypersurface`` read as
+    CI(n; d), by exact coefficient extraction from its validated fields.
 
     The value is (prod of degrees) times the h^(n-c) coefficient of
     (1+h)^(n+1) / prod(1 + d*h).  Dividing a truncated series by 1 + d*h
     in place is the step c[i] -= d*c[i-1] for i = 1..order, so the whole
     computation stays in exact integers.
 
-    >>> euler_char_ci(4, [5])
+    >>> euler_char_ci(Hypersurface(4, 5))
     -200
-    >>> euler_char_ci(3, [4])
+    >>> euler_char_ci(CompleteIntersection(3, (4,)))
     24
     """
-    ci = CompleteIntersection(n, degrees)
-    order = ci.dim
+    if not isinstance(atom, (Hypersurface, CompleteIntersection)):
+        raise TypeError(f"not a Hyp or CI atom: {type(atom).__name__}")
+    n, degrees, order = atom.n, atom.degrees, atom.dim
     c = [comb(n + 1, i) for i in range(order + 1)]
-    for d in ci.degrees:
+    for d in degrees:
         for i in range(1, order + 1):
             c[i] -= d * c[i - 1]
-    return prod(ci.degrees) * c[order]
+    return prod(degrees) * c[order]
 
 
 def _convolve(a: tuple, b: tuple) -> tuple:
@@ -166,42 +168,26 @@ def _convolve(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def kunneth(a: BettiVector, b: BettiVector) -> BettiVector:
-    """Betti vector of a product: the convolution of the factor vectors.
-
-    >>> str(kunneth(BettiVector(1, (1, 2, 1)), BettiVector(1, (1, 0, 1))))
-    '(1, 2, 2, 2, 1)'
-    """
-    return BettiVector(a.dim + b.dim, _convolve(a.betti, b.betti))
-
-
-def disjoint_union_betti(a: BettiVector, b: BettiVector) -> BettiVector:
-    """Componentwise sum; the summands must have the same dimension."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(
-            f"disjoint union requires equal dimensions, got {a.dim} and {b.dim}")
-    return BettiVector(a.dim, tuple(map(add, a.betti, b.betti)))
-
-
 def _grassmannian(a: Grassmannian) -> tuple:
     betti = [0] * (2 * a.dim + 1)
     betti[::2] = _partitions_in_box(a.k, a.n - a.k)
     return tuple(betti)
 
 
-def _complete_intersection(n: int, degrees: tuple, r: int) -> tuple:
+def _complete_intersection(atom) -> tuple:
     # Off the middle degree the vector is P^r's (weak Lefschetz), whose
     # alternating sum there is r + r % 2; the Euler characteristic forces
     # the middle entry.  P^r's vector is admissible, so only the hard
     # Lefschetz step beta_{r-2} <= beta_r involves the middle: the vector is
     # admissible iff the middle is at least beta_{r-2}, which is 1 for even
     # r and 0 for odd r (r = 1 has no step at all).
-    excess = euler_char_ci(n, degrees) - (r + r % 2)
+    r = atom.dim
+    excess = euler_char_ci(atom) - (r + r % 2)
     middle = -excess if r % 2 else excess
     if middle < (0 if r % 2 else 1):
         raise InternalConsistencyError(
-            f"inadmissible complete intersection vector for n={n}, "
-            f"degrees={degrees}: middle Betti number beta_{r} = {middle}")
+            f"inadmissible complete intersection vector for n={atom.n}, "
+            f"degrees={atom.degrees}: middle Betti number beta_{r} = {middle}")
     betti = [1, 0] * r + [1]
     betti[r] = middle
     return tuple(betti)
@@ -213,8 +199,8 @@ _ATOM_BETTI = {
     Grassmannian: _grassmannian,
     Curve: lambda a: (1, 2 * a.g, 1),
     Abelian: lambda a: tuple([comb(2 * a.g, j) for j in range(2 * a.g + 1)]),
-    Hypersurface: lambda a: _complete_intersection(a.n, (a.d,), a.dim),
-    CompleteIntersection: lambda a: _complete_intersection(a.n, a.degrees, a.dim),
+    Hypersurface: _complete_intersection,
+    CompleteIntersection: _complete_intersection,
 }
 
 
@@ -222,24 +208,23 @@ def betti(expr: VarietyExpr) -> BettiVector:
     """Betti vector of an arbitrary variety expression: Kunneth at each
     product and sums at each disjoint union, evaluated bottom-up.
 
-    The walk keeps its own stack and carries plain tuples; the tree
-    already guarantees equal dimensions at each union, and one
-    ``BettiVector`` is built, and checked, at the root.  The depth of the
-    tree is not bounded by the interpreter's recursion limit.
+    The walk folds the tree's post-order on plain tuples, as
+    ``_from_postorder`` folds it on nodes; the tree already guarantees
+    equal dimensions at each union, and one ``BettiVector`` is built, and
+    checked, at the root.  The depth of the tree is not bounded by the
+    interpreter's recursion limit.
 
     >>> str(betti(Product(Curve(1), ProjSpace(1))))
     '(1, 2, 2, 2, 1)'
     """
     values = []
-    stack = [(expr, False)]
-    while stack:
-        node, operands_done = stack.pop()
-        if operands_done:
+    for item in postorder(expr):
+        if isinstance(item, type):
             right = values.pop()
-            values[-1] = (_convolve(values[-1], right) if isinstance(node, Product)
-                          else tuple(map(add, values[-1], right)))
-        elif isinstance(node, Atom):
-            values.append(_ATOM_BETTI[type(node)](node))
+            # A display allocates the sum once, at its size; tuple(map(...))
+            # would grow it in steps, which fragments the heap.
+            values[-1] = (_convolve(values[-1], right) if item is Product
+                          else (*map(add, values[-1], right),))
         else:
-            stack += ((node, True), (node.right, False), (node.left, False))
+            values.append(_ATOM_BETTI[type(item)](item))
     return BettiVector(expr.dim, values[0])

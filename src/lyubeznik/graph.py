@@ -22,10 +22,10 @@ def _is_int(value) -> bool:
 class ComponentGraph(Value):
     """Named components with dimensions plus pairwise intersection dimensions.
 
-    Components are (name, dim) pairs with unique string names and
-    intersections are (name_a, name_b, dim) triples; an absent pair means
-    an empty intersection, which may also be recorded explicitly as dim -1.
-    The constructor checks every value, in order.
+    Components are at least one (name, dim) pair with unique string names
+    and intersections are (name_a, name_b, dim) triples; an absent pair
+    means an empty intersection, which may also be recorded explicitly as
+    dim -1.  The constructor checks every value, in order.
     """
 
     __slots__ = fields = ("components", "intersections")
@@ -41,6 +41,8 @@ class ComponentGraph(Value):
                 raise GraphError(
                     f"component dimension must be a nonnegative integer, got {dim!r}")
             dims[name] = dim
+        if not dims:
+            raise GraphError("at least one component is required")
         records = []
         seen = set()
         for a, b, dim in intersections:
@@ -105,8 +107,6 @@ def corner_from_graph(g: ComponentGraph) -> int:
     >>> corner_from_graph(ComponentGraph((("P", 0), ("Q", 0))))
     1
     """
-    if not g.components:
-        raise GraphError("at least one component is required")
     r = max(dim for _, dim in g.components)
     if r == 0:
         # Any two points meet in the empty set, of dimension r - 1 = -1,

@@ -92,8 +92,6 @@ def lyubeznik_table(b: BettiVector) -> LyubeznikTable:
     lyubeznik.betti.AdmissibilityError: hard Lefschetz fails: beta_0 = 1 > beta_2 = 0
     """
     r = b.dim
-    if r < 1:
-        raise ValueError("the table is defined for varieties of dimension r >= 1")
     check_lefschetz_admissible(b)
     beta = b.betti
     row = [0, beta[0] - 1]

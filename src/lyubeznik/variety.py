@@ -165,6 +165,11 @@ class Hypersurface(Atom):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "dim", n - 1)
 
+    @property
+    def degrees(self) -> tuple:
+        """The multidegree ``(d,)``: a hypersurface is ``CI(n; d)``."""
+        return (self.d,)
+
 
 class CompleteIntersection(Atom):
     """Nonsingular complete intersection in P^n of the given multidegree,
@@ -191,10 +196,14 @@ class CompleteIntersection(Atom):
         return f"CI({self.n}; {','.join(str(d) for d in self.degrees)})"
 
 
-def _reduce_join(self):
-    # Pickle and deepcopy a tree as its flat post-order (atoms and join
-    # classes), so that neither recurses once per level.
-    items, stack = [], [self]
+def postorder(expr: VarietyExpr) -> tuple:
+    """The flat post-order of ``expr``, built without recursion: its
+    atoms, and the class of each join after its two operands.
+
+    >>> postorder(Product(Curve(1), ProjSpace(1)))
+    (Curve(g=1), ProjSpace(n=1), <class 'lyubeznik.variety.Product'>)
+    """
+    items, stack = [], [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, Atom):
@@ -202,7 +211,13 @@ def _reduce_join(self):
         else:
             items.append(type(node))
             stack += (node.left, node.right)
-    return _from_postorder, (tuple(reversed(items)),)
+    return tuple(reversed(items))
+
+
+def _reduce_join(self):
+    # Pickle and deepcopy a tree as its flat post-order, so that neither
+    # recurses once per level.
+    return _from_postorder, (postorder(self),)
 
 
 def _from_postorder(items):

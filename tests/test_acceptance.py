@@ -23,6 +23,7 @@ from lyubeznik import (
     ComponentGraph,
     Curve,
     Grassmannian,
+    Hypersurface,
     ProjSpace,
     betti,
     check_lefschetz_admissible,
@@ -69,7 +70,7 @@ def test_02_product_curve_line_table():
 def test_03_quintic_threefold():
     vec = betti(parse_variety("Hyp(4,5)"))
     assert tuple(vec) == (1, 0, 1, 204, 1, 0, 1)
-    chi = euler_char_ci(4, (5,))
+    chi = euler_char_ci(Hypersurface(4, 5))
     assert chi == -200
     assert sum((-1) ** j * vec[j] for j in range(len(vec))) == chi
     table = lyubeznik_table(vec)

@@ -29,9 +29,7 @@ from lyubeznik import (
     ProjSpace,
     betti,
     check_lefschetz_admissible,
-    disjoint_union_betti,
     euler_char_ci,
-    kunneth,
     parse_variety,
 )
 from lyubeznik.variety import Atom
@@ -136,9 +134,9 @@ def test_abelian_one_equals_genus_one_curve():
 # --- complete intersections -------------------------------------------------
 
 def test_euler_char_frozen_values():
-    assert euler_char_ci(4, [5]) == -200
-    assert euler_char_ci(3, [2]) == 4
-    assert euler_char_ci(3, [4]) == 24
+    assert euler_char_ci(Hypersurface(4, 5)) == -200
+    assert euler_char_ci(CompleteIntersection(3, [2])) == 4
+    assert euler_char_ci(CompleteIntersection(3, [4])) == 24
 
 
 def test_euler_char_against_symbolic_series():
@@ -148,7 +146,23 @@ def test_euler_char_against_symbolic_series():
         (4, (2, 2)), (5, (2, 3)), (6, (2, 2, 2)), (7, (3, 4)), (5, (1, 2))]
     for n, ds in cases:
         if n - len(ds) >= 1:
-            assert euler_char_ci(n, ds) == chi_symbolic(n, ds), (n, ds)
+            assert euler_char_ci(CompleteIntersection(n, ds)) == chi_symbolic(n, ds), (n, ds)
+
+
+def test_hypersurface_reads_as_one_degree_complete_intersection():
+    for n in range(2, 8):
+        for d in range(1, 6):
+            hyp = Hypersurface(n, d)
+            assert hyp.degrees == (d,)
+            assert euler_char_ci(hyp) == euler_char_ci(CompleteIntersection(n, (d,)))
+            # ``degrees`` is derived, not a field: the value is still (n, d).
+            assert repr(hyp) == f"Hypersurface(n={n}, d={d})"
+
+
+def test_euler_char_rejects_other_atoms():
+    for expr in (ProjSpace(3), Curve(1), Product(Hypersurface(3, 2), ProjSpace(1))):
+        with pytest.raises(TypeError):
+            euler_char_ci(expr)
 
 
 def test_complete_intersection_frozen_vectors():
@@ -173,38 +187,35 @@ def test_alternating_sum_equals_euler_characteristic():
     for n, ds in [(4, (5,)), (3, (2,)), (5, (2, 2)), (6, (2, 3)), (7, (2,))]:
         vec = betti(CompleteIntersection(n, ds))
         alternating = sum(b if j % 2 == 0 else -b for j, b in enumerate(vec))
-        assert alternating == euler_char_ci(n, ds)
+        assert alternating == euler_char_ci(CompleteIntersection(n, ds))
 
 
 def test_ci_precondition_violations():
     with pytest.raises(ValueError):
-        euler_char_ci(3, [])
+        euler_char_ci(CompleteIntersection(3, []))
     with pytest.raises(ValueError):
-        euler_char_ci(3, [0])
+        euler_char_ci(CompleteIntersection(3, [0]))
     with pytest.raises(ValueError):
-        euler_char_ci(2, [2, 2])
+        euler_char_ci(CompleteIntersection(2, [2, 2]))
     with pytest.raises(ValueError):
         betti(CompleteIntersection(3, (2, 2, 2)))
 
 
-# --- kunneth and disjoint union ---------------------------------------------
+# --- Kunneth at products and sums at disjoint unions -------------------------
 
 def test_kunneth_frozen_convolutions():
-    assert kunneth(BettiVector(1, (1, 2, 1)),
-                   betti(ProjSpace(1))).betti == (1, 2, 2, 2, 1)
-    assert kunneth(betti(ProjSpace(1)),
-                   betti(ProjSpace(1))).betti == (1, 0, 2, 0, 1)
+    assert betti(Product(Curve(1), ProjSpace(1))).betti == (1, 2, 2, 2, 1)
+    assert betti(Product(ProjSpace(1), ProjSpace(1))).betti == (1, 0, 2, 0, 1)
 
 
 def test_kunneth_unit_is_identity():
-    unit = BettiVector(0, (1,))
-    vec = betti(Abelian(2))
-    assert kunneth(vec, unit) == vec
-    assert kunneth(unit, vec) == vec
+    vec = betti(Abelian(2)).betti
+    assert betti_module._convolve(vec, (1,)) == vec
+    assert betti_module._convolve((1,), vec) == vec
 
 
 def test_kunneth_dimension_adds():
-    product = kunneth(betti(ProjSpace(2)), betti(Abelian(3)))
+    product = betti(Product(ProjSpace(2), Abelian(3)))
     assert product.dim == 5
     assert len(product) == 11
 
@@ -218,9 +229,7 @@ def test_kunneth_commutes(a, b):
 @settings(max_examples=40)
 @given(variety_exprs(max_dim=3), variety_exprs(max_dim=3), variety_exprs(max_dim=3))
 def test_kunneth_associates(a, b, c):
-    left = kunneth(kunneth(betti(a), betti(b)), betti(c))
-    right = kunneth(betti(a), kunneth(betti(b), betti(c)))
-    assert left == right
+    assert betti(Product(Product(a, b), c)) == betti(Product(a, Product(b, c)))
 
 
 def convolve_naive(a, b):
@@ -244,15 +253,13 @@ def test_convolve_commutes_and_matches_double_sum(a, b):
 
 
 def test_disjoint_union_sums():
-    assert disjoint_union_betti(
-        betti(ProjSpace(1)), betti(ProjSpace(1))).betti == (2, 0, 2)
-    assert disjoint_union_betti(
-        betti(Curve(1)), betti(ProjSpace(1))).betti == (2, 2, 2)
+    assert betti(DisjointUnion(ProjSpace(1), ProjSpace(1))).betti == (2, 0, 2)
+    assert betti(DisjointUnion(Curve(1), ProjSpace(1))).betti == (2, 2, 2)
 
 
 def test_disjoint_union_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        disjoint_union_betti(betti(ProjSpace(1)), betti(ProjSpace(2)))
+        DisjointUnion(ProjSpace(1), ProjSpace(2))
 
 
 # --- admissibility ----------------------------------------------------------
@@ -317,8 +324,7 @@ def _reference_atom(atom):
         return [1, 2 * atom.g, 1]
     if isinstance(atom, Abelian):
         return [comb(2 * atom.g, j) for j in range(2 * atom.g + 1)]
-    degrees = (atom.d,) if isinstance(atom, Hypersurface) else atom.degrees
-    chi = euler_char_ci(atom.n, degrees)
+    chi = euler_char_ci(atom)
     vec = [1 if j % 2 == 0 else 0 for j in range(2 * r + 1)]
     vec[r] = 0
     off_middle = sum(b if j % 2 == 0 else -b for j, b in enumerate(vec))
@@ -397,3 +403,22 @@ def test_betti_builds_one_vector_per_call(monkeypatch):
         built.clear()
         vec = betti(parse_variety(text))
         assert built == [dim] and type(vec) is CountingVector
+
+
+def test_betti_builds_no_atom(monkeypatch):
+    # The walk reads each parsed atom's validated fields, so each atom is
+    # checked once, by its own constructor when the tree is built.
+    trees = [parse_variety(text) for text in (
+        "Hyp(4,5)", "CI(5; 2,2)", "Hyp(3,2) x CI(6; 2,3) + Gr(2,4) x P(2)",
+        " + ".join(["Hyp(3,4)", "CI(4; 2,2)", "Curve(1) x P(1)"] * 50))]
+    built = []
+    for cls in Atom.__subclasses__():
+        def counting(self, *args, _init=cls.__init__):
+            built.append(type(self).__name__)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    for tree in trees:
+        betti(tree)
+    assert built == []
+    Hypersurface(2, 3)
+    assert built == ["Hypersurface"]

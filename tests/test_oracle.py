@@ -10,9 +10,9 @@ from conftest import variety_exprs
 from lyubeznik import (
     AdmissibilityError,
     BettiVector,
+    DisjointUnion,
     betti,
     cone_local_derham_dims,
-    disjoint_union_betti,
     lyubeznik_table,
 )
 
@@ -48,11 +48,10 @@ def test_oracle_matches_table_first_row(expr):
 @settings(max_examples=80)
 @given(variety_exprs(max_dim=6), variety_exprs(max_dim=6))
 def test_adding_a_component_raises_degree_one_by_its_beta_zero(a, b):
-    va = betti(a)
-    vb = betti(b) if betti(b).dim == va.dim else va
-    union = disjoint_union_betti(va, vb)
+    b = b if b.dim == a.dim else a
+    va, vb = betti(a), betti(b)
     before = cone_local_derham_dims(va)
-    after = cone_local_derham_dims(union)
+    after = cone_local_derham_dims(betti(DisjointUnion(a, b)))
     assert after[1] == before[1] + vb[0]
 
 

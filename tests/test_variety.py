@@ -68,7 +68,7 @@ def test_valid_atoms_with_arguments_too_long_to_print():
     huge = 10 ** 5000
     assert Hypersurface(60, huge).d == huge
     assert CompleteIntersection(68, (huge, 2)).dim == 66
-    assert euler_char_ci(5, (huge,)) % huge == 0
+    assert euler_char_ci(CompleteIntersection(5, (huge,))) % huge == 0
 
 
 def test_disjoint_union_requires_equal_dimensions():
