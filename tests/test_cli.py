@@ -309,6 +309,92 @@ def test_help_exits_zero(capsys):
     assert code == 0 and "compute" in out
 
 
+_USAGE = "usage: lyubeznik [-h] {compute,betti,oracle,graph} ...\n"
+_COMPUTE_USAGE = (
+    "usage: lyubeznik compute [-h] [--format {text,json,csv}] [--no-verify]\n"
+    "                         [--max-dim N]\n"
+    "                         expr\n")
+
+# argv, then the exact stdout, stderr and exit code of main(argv).
+_HELP_AND_USAGE_BYTES = [
+    (["--help"],
+     _USAGE + "\n"
+     "Exact Lyubeznik tables for cones over nonsingular projective varieties.\n"
+     "\n"
+     "positional arguments:\n"
+     "  {compute,betti,oracle,graph}\n"
+     "    compute             Betti vector plus full table, cross-checked\n"
+     "    betti               Betti vector only\n"
+     "    oracle              exact-sequence dimensions at the cone vertex\n"
+     "    graph               corner entry from a component-intersection JSON file\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n", "", 0),
+    (["compute", "--help"],
+     _COMPUTE_USAGE + "\n"
+     "positional arguments:\n"
+     '  expr                  variety expression, e.g. "Curve(1) x P(1)"\n'
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --format {text,json,csv}\n"
+     "  --no-verify           skip the exact-sequence cross-check\n"
+     "  --max-dim N           largest accepted dimension (default 64)\n", "", 0),
+    (["betti", "--help"],
+     "usage: lyubeznik betti [-h] [--format {text,json,csv}] [--max-dim N] expr\n"
+     "\n"
+     "positional arguments:\n"
+     "  expr\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --format {text,json,csv}\n"
+     "  --max-dim N           largest accepted dimension (default 64)\n", "", 0),
+    (["oracle", "--help"],
+     "usage: lyubeznik oracle [-h] [--max-dim N] expr\n"
+     "\n"
+     "positional arguments:\n"
+     "  expr\n"
+     "\n"
+     "options:\n"
+     "  -h, --help   show this help message and exit\n"
+     "  --max-dim N  largest accepted dimension (default 64)\n", "", 0),
+    (["graph", "--help"],
+     "usage: lyubeznik graph [-h] file\n"
+     "\n"
+     "positional arguments:\n"
+     "  file\n"
+     "\n"
+     "options:\n"
+     "  -h, --help  show this help message and exit\n", "", 0),
+    ([], "", _USAGE +
+     "lyubeznik: error: the following arguments are required: command\n", 1),
+    (["compute"], "", _COMPUTE_USAGE +
+     "lyubeznik compute: error: the following arguments are required: expr\n", 1),
+    (["frobnicate", "P(2)"], "", _USAGE +
+     "lyubeznik: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'compute', 'betti', 'oracle', 'graph')\n", 1),
+    (["compute", "P(2)", "--format", "yaml"], "", _COMPUTE_USAGE +
+     "lyubeznik compute: error: argument --format: invalid choice: 'yaml' "
+     "(choose from 'text', 'json', 'csv')\n", 1),
+    (["compute", "P(2)", "--max-dim", "x"], "", _COMPUTE_USAGE +
+     "lyubeznik compute: error: argument --max-dim: invalid int value: 'x'\n", 1),
+    (["compute", "P(2)", "P(3)"], "", _USAGE +
+     "lyubeznik: error: unrecognized arguments: P(3)\n", 1),
+    (["compute", "P(2)", "--verbose"], "", _USAGE +
+     "lyubeznik: error: unrecognized arguments: --verbose\n", 1),
+]
+
+
+@pytest.mark.parametrize("argv, out, err, code", _HELP_AND_USAGE_BYTES,
+                         ids=[" ".join(row[0]) or "no-arguments"
+                              for row in _HELP_AND_USAGE_BYTES])
+def test_help_and_usage_bytes(argv, out, err, code, monkeypatch, capsys):
+    # argparse wraps help and usage text to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv, capsys) == (code, out, err)
+
+
 def test_oracle_mismatch_exits_two(monkeypatch, capsys):
     # force a wrong oracle answer to prove the cross-check wiring trips
     monkeypatch.setattr(cli, "cone_local_derham_dims",
