@@ -194,14 +194,6 @@ def cmd_graph(path: str, out=None) -> int:
     return 0
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # Usage mistakes are user errors: exit 1, keeping 2 for internal failures.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _add_max_dim(command) -> None:
     command.add_argument("--max-dim", type=int, default=_DEFAULT_MAX_DIM,
                          metavar="N", help="largest accepted dimension "
@@ -209,7 +201,7 @@ def _add_max_dim(command) -> None:
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="lyubeznik",
         description="Exact Lyubeznik tables for cones over nonsingular "
                     "projective varieties.")
@@ -251,9 +243,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_arg_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
-        code = exc.code
-        return 0 if code is None else int(code)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage mistake, which is a
+        # user error: exit 1, keeping 2 for internal failures.
+        return 1 if exc.code else 0
     try:
         return args.handler(args)
     except (ParseError, SemanticError, GraphError, _UserError, OSError) as exc:

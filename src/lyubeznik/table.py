@@ -63,9 +63,10 @@ class LyubeznikTable(Value):
     def nonzero(self) -> tuple:
         """Nonzero entries as (i, j, value) triples in row-major order."""
         d = self.dim_a
-        top = tuple((0, j, v) for j, v in enumerate(self.first_row) if v)
-        column = tuple((i, d, v) for i, v in enumerate(self.last_column(), 1) if v)
-        return top + column
+        # A display allocates the tuple once, at its size; tuple() of a
+        # generator would grow it in steps, which fragments the heap.
+        return (*[(0, j, v) for j, v in enumerate(self.first_row) if v],
+                *[(i, d, v) for i, v in enumerate(self.last_column(), 1) if v])
 
 
 def lyubeznik_table(b: BettiVector) -> LyubeznikTable:

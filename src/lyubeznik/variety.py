@@ -14,9 +14,13 @@ because every other module imports this one.
 
 class Value:
     """An immutable value whose state is its constructor arguments, named
-    once, in order, in ``fields`` (also its ``__slots__``).  Equality,
-    hashing and ``repr`` walk nested values with an explicit stack, so the
-    depth of a tree is not bounded by the recursion limit."""
+    once, in order, in ``fields`` (also its ``__slots__``).
+
+    Equality, hashing and pickling read ``_key()``: the constructor
+    arguments, or for ``Product`` and ``DisjointUnion`` the tree's flat
+    ``postorder``, which names exactly one tree.  ``repr`` prints the
+    nesting with its own explicit stack.  Neither recurses once per level,
+    so the depth of a tree is not bounded by the recursion limit."""
 
     __slots__ = fields = ()
 
@@ -26,17 +30,7 @@ class Value:
     __delattr__ = __setattr__
 
     def _key(self) -> tuple:
-        # Preorder: each value's class, its plain field values, nested values.
-        key, stack = [], [self]
-        while stack:
-            value = stack.pop()
-            key.append(type(value))
-            nested = []
-            for f in value.fields:
-                x = getattr(value, f)
-                (nested if isinstance(x, Value) else key).append(x)
-            stack += reversed(nested)
-        return tuple(key)
+        return tuple([getattr(self, f) for f in self.fields])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -63,7 +57,7 @@ class Value:
         return "".join(parts)
 
     def __reduce__(self):
-        return type(self), tuple([getattr(self, f) for f in self.fields])
+        return type(self), self._key()
 
 
 class SemanticError(ValueError):
@@ -237,6 +231,7 @@ class Product(VarietyExpr):
     """Product of two varieties; dimensions add."""
 
     __slots__ = fields = ("left", "right")
+    _key = postorder
     __reduce__ = _reduce_join
 
     def __init__(self, left: VarietyExpr, right: VarietyExpr):
@@ -249,6 +244,7 @@ class DisjointUnion(VarietyExpr):
     """Disjoint union of two varieties of the same dimension."""
 
     __slots__ = fields = ("left", "right")
+    _key = postorder
     __reduce__ = _reduce_join
 
     def __init__(self, left: VarietyExpr, right: VarietyExpr):

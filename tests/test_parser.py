@@ -180,6 +180,9 @@ _ERROR_BYTES = [
     ("P(", "unexpected end of input (offset 2, expected integer)",
      2, ("integer",)),
     ("P(2", "unexpected end of input (offset 3, expected ')')", 3, ("')'",)),
+    # the ')' that closes a parenthesized group
+    ("(P(1)", "unexpected end of input (offset 5, expected ')')", 5, ("')'",)),
+    ("(P(1) P(2))", "unexpected 'P' (offset 6, expected ')')", 6, ("')'",)),
     ("P(2) P(3)", "unexpected 'P' after expression (offset 5, expected "
      "'x' or '+' or end of input)", 5, _AFTER),
     ("P(2))", "unexpected ')' after expression (offset 4, expected "

@@ -5,6 +5,8 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyubeznik import (
     Abelian,
@@ -115,6 +117,37 @@ def test_structural_equality():
     assert Product(Curve(1), ProjSpace(1)) == Product(Curve(1), ProjSpace(1))
     assert Product(Curve(1), ProjSpace(1)) != Product(ProjSpace(1), Curve(1))
     assert CompleteIntersection(5, [2, 3]) == CompleteIntersection(5, (2, 3))
+
+
+# Two dimension-1 atoms with equal field values but different classes.
+_LINES = st.sampled_from([ProjSpace(1), Curve(1)])
+# (inner, outer) joins of a three-atom tree: a union of a product and an
+# atom would mix dimensions 2 and 1.
+_JOIN_PAIRS = st.sampled_from([(Product, Product), (DisjointUnion, DisjointUnion),
+                               (DisjointUnion, Product)])
+
+
+@st.composite
+def _small_trees(draw):
+    """Trees of two or three dimension-1 atoms, so that equal atoms in
+    different shapes are common."""
+    a, b = draw(_LINES), draw(_LINES)
+    if draw(st.booleans()):
+        return draw(st.sampled_from([Product, DisjointUnion]))(a, b)
+    c = draw(_LINES)
+    inner, outer = draw(_JOIN_PAIRS)
+    return outer(inner(a, b), c) if draw(st.booleans()) else outer(a, inner(b, c))
+
+
+@settings(max_examples=300)
+@given(_small_trees(), _small_trees())
+def test_equality_sees_shape(a, b):
+    # The renderer writes every shape differently, so equal trees are
+    # exactly the trees with equal text.
+    assert (a == b) == (render(a) == render(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert pickle.loads(pickle.dumps(a)) == a
 
 
 def test_degrees_are_normalized_to_tuples():
