@@ -1,7 +1,9 @@
 """Parser behavior: grammar, errors, and the parse/render round trip."""
 
 import gc
+import json
 import random
+import string
 from collections import namedtuple
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import variety_exprs
+from corpus import corpus
 from lyubeznik import (
     Abelian,
     CompleteIntersection,
@@ -137,6 +140,29 @@ def test_canonical_examples_round_trip():
 @given(variety_exprs())
 def test_round_trip_parse_render(expr):
     assert parse_variety(render(expr)) == expr
+
+
+# The JSON documents quote a rendered expression as '"' + text + '"', which
+# is json.dumps's encoding because render writes nothing it would escape.
+_RENDERED_CHARS = frozenset(string.ascii_letters + string.digits + " (),;+")
+
+
+def _assert_renders_without_escapes(text):
+    rendered = render(parse_variety(text))
+    assert set(rendered) <= _RENDERED_CHARS, rendered
+    assert json.dumps(rendered) == '"' + rendered + '"'
+
+
+def test_rendered_corpus_needs_no_json_escapes():
+    worst_cases = ["Gr(8,16)", "Ab(64)", "Hyp(65,10)", "CI(67; 2,3,4)"]
+    for text in [render(e) for e in corpus() + corpus(max_dim=64)] + worst_cases:
+        _assert_renders_without_escapes(text)
+
+
+@settings(max_examples=200)
+@given(variety_exprs())
+def test_rendered_expressions_need_no_json_escapes(expr):
+    _assert_renders_without_escapes(render(expr))
 
 
 @settings(max_examples=300)
