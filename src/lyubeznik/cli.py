@@ -12,7 +12,6 @@ Output is deterministic: identical invocations produce identical bytes.
 """
 
 import argparse
-import json
 import sys
 
 from .betti import AdmissibilityError, InternalConsistencyError, betti
@@ -30,8 +29,13 @@ class _UserError(Exception):
     """A request the user can fix; reported on stderr with exit code 1."""
 
 
-def _document_text(expr_text: str, vec, table: LyubeznikTable,
-                   verified: bool) -> str:
+def _opening_text(expr, vec, last: str) -> str:
+    """The lines every text document opens with: the expression, its
+    dimension and then the caller's ``last`` line."""
+    return f"expression: {render(expr)}\ndimension: {vec.dim}\n{last}\n"
+
+
+def _document_text(expr, vec, table: LyubeznikTable, verified: bool) -> str:
     d = table.dim_a
     top = [str(v) for v in table.first_row]
     column = [str(v) for v in table.last_column()]
@@ -40,9 +44,6 @@ def _document_text(expr_text: str, vec, table: LyubeznikTable,
     label_width = max(len(label), len(str(d)))
     header = " ".join(f"{j:>{width}}" for j in range(d + 1))
     lines = [
-        f"expression: {expr_text}",
-        f"dimension: {vec.dim}",
-        f"betti: {vec}",
         f"verified: {'yes' if verified else 'skipped'}",
         "",
         f"{label:>{label_width}} | {header}",
@@ -53,14 +54,14 @@ def _document_text(expr_text: str, vec, table: LyubeznikTable,
     zeros = " ".join(["0".rjust(width)] * d)
     lines += [f"{i:>{label_width}} | {zeros} {cell:>{width}}"
               for i, cell in enumerate(column, 1)]
-    return "\n".join(lines) + "\n"
+    return _opening_text(expr, vec, f"betti: {vec}") + "\n".join(lines) + "\n"
 
 
 # The JSON writers lay values out exactly as json.dumps(..., indent=2) does.
 def _json_array(items, depth: int) -> str:
-    """A list of already encoded ``items`` nested ``depth`` levels deep."""
-    if not items:
-        return "[]"
+    """A nonempty list of already encoded ``items`` nested ``depth`` levels
+    deep.  No document has an empty array: the nonzero list always holds
+    the corner, which is at least 1."""
     pad = "\n" + "  " * (depth + 1)
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
@@ -75,26 +76,26 @@ def _json_object(fields) -> str:
     return "{\n  " + ",\n  ".join(f'"{key}": {value}' for key, value in fields) + "\n}\n"
 
 
-def _json_table(table: LyubeznikTable) -> str:
-    # Rows 1..d hold d zeros and then their last-column cell, at depth 2.
-    pad = "\n" + "  " * 3
-    zeros = "[" + pad + ("," + pad).join(["0"] * table.dim_a) + "," + pad
-    rows = [_json_ints(table.first_row, 2)]
-    rows += [zeros + str(v) + "\n    ]" for v in table.last_column()]
-    return _json_array(rows, 1)
+def _opening_json(expr, vec) -> list:
+    """The (key, encoded value) pairs every JSON document opens with.
+    ``render`` writes only ASCII letters, digits, spaces and "(),;+", so
+    quoting the expression needs no escapes."""
+    return [("expr", '"' + render(expr) + '"'), ("dim", str(vec.dim)),
+            ("betti", _json_ints(vec.betti, 1))]
 
 
 # One (i, j, lambda) triple of the nonzero list, at depth 2.
 _JSON_TRIPLE = "[\n      %d,\n      %d,\n      %d\n    ]"
 
 
-def _document_json(expr_text: str, vec, table: LyubeznikTable,
-                   verified: bool) -> str:
-    return _json_object([
-        ("expr", json.dumps(expr_text)),
-        ("dim", str(vec.dim)),
-        ("betti", _json_ints(vec.betti, 1)),
-        ("table", _json_table(table)),
+def _document_json(expr, vec, table: LyubeznikTable, verified: bool) -> str:
+    # Rows 1..d of the table: d zeros and then their last-column cell.
+    pad = "\n" + "  " * 3
+    zeros = "[" + pad + ("," + pad).join(["0"] * table.dim_a) + "," + pad
+    rows = [_json_ints(table.first_row, 2)]
+    rows += [zeros + str(v) + "\n    ]" for v in table.last_column()]
+    return _json_object(_opening_json(expr, vec) + [
+        ("table", _json_array(rows, 1)),
         ("nonzero", _json_array([_JSON_TRIPLE % e for e in table.nonzero()], 1)),
         ("verified", "true" if verified else "false"),
     ])
@@ -141,9 +142,9 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
     if fmt == "csv":
         out.write(_csv_text("i,j,lambda\n", table.nonzero()))
     elif fmt == "json":
-        out.write(_document_json(render(expr), vec, table, verified))
+        out.write(_document_json(expr, vec, table, verified))
     else:
-        out.write(_document_text(render(expr), vec, table, verified))
+        out.write(_document_text(expr, vec, table, verified))
     return 0
 
 
@@ -153,15 +154,11 @@ def cmd_betti(expr_text: str, fmt: str = "text", out=None,
     out = out if out is not None else sys.stdout
     expr, vec = _parse_bounded(expr_text, max_dim)
     if fmt == "json":
-        out.write(_json_object([("expr", json.dumps(render(expr))),
-                                ("dim", str(vec.dim)),
-                                ("betti", _json_ints(vec.betti, 1))]))
+        out.write(_json_object(_opening_json(expr, vec)))
     elif fmt == "csv":
         out.write(_csv_text("j,beta\n", enumerate(vec)))
     else:
-        out.write(f"expression: {render(expr)}\n"
-                  f"dimension: {vec.dim}\n"
-                  f"betti: {vec}\n")
+        out.write(_opening_text(expr, vec, f"betti: {vec}"))
     return 0
 
 
@@ -170,14 +167,13 @@ def cmd_oracle(expr_text: str, out=None, max_dim: int = _DEFAULT_MAX_DIM) -> int
     out = out if out is not None else sys.stdout
     expr, vec = _parse_bounded(expr_text, max_dim)
     dims = cone_local_derham_dims(vec)
-    out.write(f"expression: {render(expr)}\n"
-              f"dimension: {vec.dim}\n"
-              f"vertex local de Rham dims: {dims}\n")
+    out.write(_opening_text(expr, vec, f"vertex local de Rham dims: {dims}"))
     return 0
 
 
 def cmd_graph(path: str, out=None) -> int:
     """Read a component-intersection JSON file and print the corner entry."""
+    import json  # only this command reads JSON; the others start without it
     out = out if out is not None else sys.stdout
     with open(path, encoding="utf-8") as handle:
         try:

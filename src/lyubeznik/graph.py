@@ -117,12 +117,10 @@ def corner_from_graph(g: ComponentGraph) -> int:
     parent = {name: name for name, dim in g.components if dim == r}
 
     def find(a: str) -> str:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
+        # Path halving: each step points a at its grandparent and moves there.
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
 
     for a, b, dim in g.intersections:
         if dim == r - 1 and a in parent and b in parent:

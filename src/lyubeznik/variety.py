@@ -5,7 +5,9 @@ Each atom is one class: its syntax name, its fields (the arguments of
 ``NAME(a,b,...)``, in order), its validator, its dimension and its
 rendering live there and nowhere else.  Constructor constraints are
 enforced at construction time, so every reachable tree describes a
-nonsingular projective variety of dimension at least 1.
+nonsingular projective variety of dimension at least 1.  Every argument
+is a plain ``int``; a ``bool``, a ``float`` or any other number is
+refused, as it would render as text that is no expression.
 
 Every value class of the package derives from ``Value``, defined here
 because every other module imports this one.
@@ -98,7 +100,7 @@ class ProjSpace(Atom):
     __slots__ = fields = ("n",)
 
     def __init__(self, n: int):
-        if not n >= 1:
+        if type(n) is not int or not n >= 1:
             raise SemanticError(f"P(n) requires n >= 1, got n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", n)
@@ -111,7 +113,7 @@ class Grassmannian(Atom):
     __slots__ = fields = ("k", "n")
 
     def __init__(self, k: int, n: int):
-        if not 0 < k < n:
+        if type(k) is not int or type(n) is not int or not 0 < k < n:
             raise SemanticError(f"Gr(k,n) requires 0 < k < n, got k={k}, n={n}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
@@ -125,7 +127,7 @@ class Curve(Atom):
     __slots__ = fields = ("g",)
 
     def __init__(self, g: int):
-        if not g >= 0:
+        if type(g) is not int or not g >= 0:
             raise SemanticError(f"Curve(g) requires g >= 0, got g={g}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "dim", 1)
@@ -138,7 +140,7 @@ class Abelian(Atom):
     __slots__ = fields = ("g",)
 
     def __init__(self, g: int):
-        if not g >= 1:
+        if type(g) is not int or not g >= 1:
             raise SemanticError(f"Ab(g) requires g >= 1, got g={g}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "dim", g)
@@ -151,9 +153,9 @@ class Hypersurface(Atom):
     __slots__ = fields = ("n", "d")
 
     def __init__(self, n: int, d: int):
-        if not n >= 2:
+        if type(n) is not int or not n >= 2:
             raise SemanticError(f"Hyp(n,d) requires n >= 2, got n={n}")
-        if not d >= 1:
+        if type(d) is not int or not d >= 1:
             raise SemanticError(f"Hyp(n,d) requires d >= 1, got d={d}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
@@ -177,9 +179,9 @@ class CompleteIntersection(Atom):
         c = len(degrees)
         if not c >= 1:
             raise SemanticError("CI(n; ...) requires at least one degree")
-        if not all(isinstance(d, int) and d >= 1 for d in degrees):
+        if not all(type(d) is int and d >= 1 for d in degrees):
             raise SemanticError(f"CI degrees must be integers >= 1, got {degrees}")
-        if not n - c >= 1:
+        if type(n) is not int or not n - c >= 1:
             raise SemanticError(f"CI(n; d1,...,dc) requires dimension n - c >= 1, "
                                 f"got n={n}, c={c}")
         object.__setattr__(self, "n", n)

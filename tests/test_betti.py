@@ -32,6 +32,7 @@ from lyubeznik import (
     euler_char_ci,
     parse_variety,
 )
+from lyubeznik.cli import main
 from lyubeznik.variety import Atom
 
 # The module itself: the package's ``betti`` attribute is the function.
@@ -422,3 +423,19 @@ def test_betti_builds_no_atom(monkeypatch):
     assert built == []
     Hypersurface(2, 3)
     assert built == ["Hypersurface"]
+
+
+@pytest.mark.parametrize("text, chi, err", [
+    ("Hyp(4,5)", 5, "internal consistency failure: inadmissible complete "
+     "intersection vector for n=4, degrees=(5,): middle Betti number beta_3 = -1\n"),
+    ("Hyp(3,2)", 2, "internal consistency failure: inadmissible complete "
+     "intersection vector for n=3, degrees=(2,): middle Betti number beta_2 = 0\n"),
+])
+def test_inadmissible_complete_intersection_exits_two(text, chi, err,
+                                                      monkeypatch, capsys):
+    # A wrong Euler characteristic forces a middle Betti number below the
+    # hard Lefschetz bound, which every command reports as an internal failure.
+    monkeypatch.setattr(betti_module, "euler_char_ci", lambda atom: chi)
+    for command in ("betti", "compute", "oracle"):
+        assert main([command, text]) == 2
+        assert capsys.readouterr() == ("", err)

@@ -58,6 +58,17 @@ def test_dimension_of_compounds():
     lambda: CompleteIntersection(3, (2, 2, 2)),
     lambda: CompleteIntersection(4, (0,)),
     lambda: CompleteIntersection(2, (3, 3)),
+    # Every argument is a plain int: these would render as P(1.5), P(True), ...
+    lambda: ProjSpace(1.5),
+    lambda: ProjSpace(True),
+    lambda: Grassmannian(1, 2.5),
+    lambda: Grassmannian(True, 2),
+    lambda: Curve(True),
+    lambda: Abelian(2.0),
+    lambda: Hypersurface(3.0, 2),
+    lambda: Hypersurface(3, True),
+    lambda: CompleteIntersection(3.0, (2,)),
+    lambda: CompleteIntersection(3, (True,)),
 ])
 def test_constructor_constraints_rejected(build):
     with pytest.raises(SemanticError):
