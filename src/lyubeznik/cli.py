@@ -17,12 +17,17 @@ import sys
 from .betti import AdmissibilityError, InternalConsistencyError, betti
 from .graph import ComponentGraph, GraphError, corner_from_graph
 from .oracle import cone_local_derham_dims
-from .parser import MAX_INT_DIGITS, ParseError, parse_variety
+from .parser import ParseError, parse_variety
 from .table import LyubeznikTable, lyubeznik_table
 from .variety import SemanticError, dimension, render
 
 _DEFAULT_MAX_DIM = 64
+# Every integer the program prints has at most MAX_INT_DIGITS decimal
+# digits, Python's default limit for int/str conversion.
+MAX_INT_DIGITS = 4300
 _PRINTABLE_BOUND = 10 ** MAX_INT_DIGITS
+# graph refuses a longer component file before json holds it in memory.
+_MAX_GRAPH_CHARS = 1 << 22
 
 
 class _UserError(Exception):
@@ -177,14 +182,20 @@ def cmd_graph(path: str, out=None) -> int:
     out = out if out is not None else sys.stdout
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
-        except RecursionError:
-            raise GraphError("JSON values nested too deeply") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            text = handle.read(_MAX_GRAPH_CHARS + 1)
+        except UnicodeDecodeError as exc:
             raise GraphError(str(exc)) from None
-        except ValueError:  # int() refuses a literal this long
-            raise GraphError(f"an integer in the file has more than "
-                             f"{MAX_INT_DIGITS} digits") from None
+    if len(text) > _MAX_GRAPH_CHARS:
+        raise GraphError(f"the file is longer than {_MAX_GRAPH_CHARS} characters")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise GraphError("JSON values nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise GraphError(str(exc)) from None
+    except ValueError:  # int() refuses a literal this long
+        raise GraphError(f"an integer in the file has more than "
+                         f"{MAX_INT_DIGITS} digits") from None
     graph = ComponentGraph.from_json_dict(data)
     out.write(f"{corner_from_graph(graph)}\n")
     return 0

@@ -14,18 +14,14 @@ class GraphError(ValueError):
     """Component or intersection data violates the schema."""
 
 
-def _is_int(value) -> bool:
-    # JSON true and false arrive as bool, which is an int subclass.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 class ComponentGraph(Value):
     """Named components with dimensions plus pairwise intersection dimensions.
 
     Components are at least one (name, dim) pair with unique string names
     and intersections are (name_a, name_b, dim) triples; an absent pair
     means an empty intersection, which may also be recorded explicitly as
-    dim -1.  The constructor checks every value, in order.
+    dim -1.  Dimensions are plain ``int``s, so JSON true and false are
+    refused.  The constructor checks every value, in order.
     """
 
     __slots__ = fields = ("components", "intersections")
@@ -37,7 +33,7 @@ class ComponentGraph(Value):
                 raise GraphError(f"component name must be a string, got {name!r}")
             if name in dims:
                 raise GraphError(f"duplicate component name {name!r}")
-            if not _is_int(dim) or dim < 0:
+            if type(dim) is not int or dim < 0:
                 raise GraphError(
                     f"component dimension must be a nonnegative integer, got {dim!r}")
             dims[name] = dim
@@ -51,7 +47,7 @@ class ComponentGraph(Value):
                     raise GraphError(f"unknown component {end!r} in intersection record")
             if a == b:
                 raise GraphError(f"component {a!r} cannot intersect itself")
-            if not _is_int(dim) or dim < -1:
+            if type(dim) is not int or dim < -1:
                 raise GraphError(
                     f"intersection dimension must be an integer >= -1, got {dim!r}")
             if dim > min(dims[a], dims[b]):

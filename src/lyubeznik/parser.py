@@ -14,20 +14,15 @@ letters (``str.isalpha``); ``x`` is always the product operator, also
 glued to a name as in ``P(1)xP(1)``, since no constructor name starts
 with ``x``.  Any other character is a syntax error.
 
-The semicolon argument form belongs to CI alone: ``CI(n; d1,...,dc)``.
-Every input either yields a valid tree or raises ``ParseError`` (with the
-offset and the tokens that would have been accepted) or ``SemanticError``;
-a bad character is reported before any syntax error.
+Each atom class reads its own argument list (``Atom._from_args``,
+beside the ``text()`` it inverts): the semicolon form belongs to CI
+alone, ``CI(n; d1,...,dc)``.  Every input either yields a valid tree or
+raises ``ParseError`` (with the offset and the tokens that would have
+been accepted) or ``SemanticError``; a bad character is reported before
+any syntax error.
 """
 
-from .variety import (
-    Atom,
-    CompleteIntersection,
-    DisjointUnion,
-    Product,
-    SemanticError,
-    VarietyExpr,
-)
+from .variety import Atom, DisjointUnion, Product, VarietyExpr
 
 
 class ParseError(ValueError):
@@ -43,11 +38,9 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-# Every integer the program prints has at most MAX_INT_DIGITS decimal
-# digits, Python's default limit for int/str conversion.  Literals have at
-# most 2000, so that a dimension built from them (k*(n-k), summed over the
-# factors of a product) would need 10**300 factors to reach that limit.
-MAX_INT_DIGITS = 4300
+# Literals have at most 2000 digits, so that a dimension built from them
+# (k*(n-k), summed over the factors of a product) would need 10**300 factors
+# to reach 4300, the digits the command line prints (Python's int/str limit).
 _MAX_LITERAL_DIGITS = 2000
 
 
@@ -106,87 +99,67 @@ def parse_variety(text: str) -> VarietyExpr:
     Product(left=Curve(g=1), right=ProjSpace(n=1))
     """
     toks = _lex(text)
-    i = 0  # index of the next unread token
+    expr, i = _union(toks, 0, 0)
+    kind, word, pos, _ = toks[i]
+    if kind != "END":
+        raise ParseError(f"unexpected {word!r} after expression", pos,
+                         ("'x'", "'+'", "end of input"))
+    return expr
 
-    def union(depth):
-        nonlocal i
-        expr = product(depth)
-        while toks[i][0] == "+":
-            i += 1
-            expr = DisjointUnion(expr, product(depth))
-        return expr
 
-    def product(depth):
-        nonlocal i
-        expr = atom(depth)
+# Each descent function returns (tree, index of the next unread token).
+# _union reads "expr", with "prod" as its inner loop.
+def _union(toks: list, i: int, depth: int) -> tuple:
+    union = None
+    while True:
+        expr, i = _atom(toks, i, depth)
         while toks[i][0] == "x":
-            i += 1
-            expr = Product(expr, atom(depth))
-        return expr
+            right, i = _atom(toks, i + 1, depth)
+            expr = Product(expr, right)
+        if union is not None:
+            expr = DisjointUnion(union, expr)
+        if toks[i][0] != "+":
+            return expr, i
+        union, i = expr, i + 1
 
-    def atom(depth):
-        # depth counts the parentheses open around this atom
-        nonlocal i
-        kind, _, pos, _ = toks[i]
-        if kind == "NAME":
-            return constructor()
-        if kind != "(":
-            raise _unexpected(toks[i], ("constructor name", "'('"))
-        if depth == _MAX_DEPTH:
-            raise ParseError("parenthesis nesting too deep", pos)
-        i += 1
-        expr = union(depth + 1)
-        if toks[i][0] != ")":
-            raise _unexpected(toks[i], ("')'",))
-        i += 1
-        return expr
 
-    def constructor():
-        nonlocal i
-        _, name, pos, _ = toks[i]
-        cls = _ATOMS.get(name)
-        if cls is None:
-            raise ParseError(f"unknown constructor {name!r}", pos,
-                             tuple(_ATOMS))
-        i += 1
-        if toks[i][0] != "(":
-            raise _unexpected(toks[i], ("'('",))
-        values, semi = [], False
-        while True:
-            i += 1
-            kind, _, _, value = toks[i]
-            if kind != "INT":
-                raise _unexpected(toks[i], ("integer",))
-            values.append(value)
-            i += 1
-            sep = toks[i][0]
-            if sep == ";" and len(values) == 1:
-                semi = True
-            elif sep != ",":
-                break
-        if sep != ")":
-            raise _unexpected(toks[i], ("')'",))
-        i += 1
-        # The semicolon form belongs to CI alone; every other atom takes
-        # its fields as a comma list.
-        if cls is CompleteIntersection:
-            if not semi:
-                raise SemanticError("CI takes the form CI(n; d1,...,dc)")
-            return cls(values[0], tuple(values[1:]))
-        if semi:
-            raise SemanticError(f"{name} does not take ';' arguments (only CI does)")
-        arity = len(cls.fields)
-        if len(values) != arity:
-            raise SemanticError(
-                f"{name} takes {arity} argument(s), got {len(values)}")
-        return cls(*values)
+def _atom(toks: list, i: int, depth: int) -> tuple:
+    # depth counts the parentheses open around this atom
+    kind, _, pos, _ = toks[i]
+    if kind == "NAME":
+        return _constructor(toks, i)
+    if kind != "(":
+        raise _unexpected(toks[i], ("constructor name", "'('"))
+    if depth == _MAX_DEPTH:
+        raise ParseError("parenthesis nesting too deep", pos)
+    expr, i = _union(toks, i + 1, depth + 1)
+    if toks[i][0] != ")":
+        raise _unexpected(toks[i], ("')'",))
+    return expr, i + 1
 
-    try:
-        expr = union(0)
-        kind, word, pos, _ = toks[i]
-        if kind != "END":
-            raise ParseError(f"unexpected {word!r} after expression", pos,
-                             ("'x'", "'+'", "end of input"))
-        return expr
-    finally:
-        del union  # atom calls union: a cycle that would keep toks alive
+
+def _constructor(toks: list, i: int) -> tuple:
+    _, name, pos, _ = toks[i]
+    cls = _ATOMS.get(name)
+    if cls is None:
+        raise ParseError(f"unknown constructor {name!r}", pos, tuple(_ATOMS))
+    i += 1
+    if toks[i][0] != "(":
+        raise _unexpected(toks[i], ("'('",))
+    # A ";" may follow the first integer only; the atom class decides.
+    values, semi = [], False
+    while True:
+        i += 1
+        kind, _, _, value = toks[i]
+        if kind != "INT":
+            raise _unexpected(toks[i], ("integer",))
+        values.append(value)
+        i += 1
+        sep = toks[i][0]
+        if sep == ";" and len(values) == 1:
+            semi = True
+        elif sep != ",":
+            break
+    if sep != ")":
+        raise _unexpected(toks[i], ("')'",))
+    return cls._from_args(values, semi), i + 1

@@ -2,12 +2,13 @@
 constructors plus binary product and disjoint union.
 
 Each atom is one class: its syntax name, its fields (the arguments of
-``NAME(a,b,...)``, in order), its validator, its dimension and its
-rendering live there and nowhere else.  Constructor constraints are
-enforced at construction time, so every reachable tree describes a
-nonsingular projective variety of dimension at least 1.  Every argument
-is a plain ``int``; a ``bool``, a ``float`` or any other number is
-refused, as it would render as text that is no expression.
+``NAME(a,b,...)``, in order), its validator, its dimension, its
+rendering and the reading of its arguments live there and nowhere else.
+Constructor constraints are enforced at construction time, so every
+reachable tree describes a nonsingular projective variety of dimension
+at least 1.  Every argument is a plain ``int``; a ``bool``, a ``float``
+or any other number is refused, as it would render as text that is no
+expression.
 
 Every value class of the package derives from ``Value``, defined here
 because every other module imports this one.
@@ -91,6 +92,18 @@ class Atom(VarietyExpr):
     def text(self) -> str:
         args = ",".join([str(getattr(self, f)) for f in self.fields])
         return f"{self.name}({args})"
+
+    @classmethod
+    def _from_args(cls, values: list, semi: bool) -> "Atom":
+        """The atom ``name(values)`` that ``text()`` writes; ``semi`` says
+        whether a ";" followed the first value."""
+        if semi:
+            raise SemanticError(f"{cls.name} does not take ';' arguments (only CI does)")
+        arity = len(cls.fields)
+        if len(values) != arity:
+            raise SemanticError(
+                f"{cls.name} takes {arity} argument(s), got {len(values)}")
+        return cls(*values)
 
 
 class ProjSpace(Atom):
@@ -190,6 +203,12 @@ class CompleteIntersection(Atom):
 
     def text(self) -> str:
         return f"CI({self.n}; {','.join(str(d) for d in self.degrees)})"
+
+    @classmethod
+    def _from_args(cls, values: list, semi: bool) -> "CompleteIntersection":
+        if not semi:
+            raise SemanticError("CI takes the form CI(n; d1,...,dc)")
+        return cls(values[0], tuple(values[1:]))
 
 
 def postorder(expr: VarietyExpr) -> tuple:

@@ -527,6 +527,29 @@ def test_graph_rejects_unreadable_json(tmp_path, text, capsys):
     assert_one_line_error(*run(["graph", str(path)], capsys))
 
 
+def test_graph_refuses_a_file_longer_than_the_bound(tmp_path, capsys):
+    # A valid JSON value one character over the bound: the length is
+    # refused before json reads it, not its shape.
+    path = tmp_path / "graph.json"
+    path.write_text("[]" + " " * (cli._MAX_GRAPH_CHARS - 1), encoding="utf-8")
+    assert run(["graph", str(path)], capsys) == (
+        1, "", f"error: the file is longer than {cli._MAX_GRAPH_CHARS} characters\n")
+
+
+def test_graph_reads_a_file_of_exactly_the_bound(tmp_path, capsys):
+    text = json.dumps(_graph_doc({"a": "A", "b": "B", "dim": 1}))
+    path = tmp_path / "graph.json"
+    path.write_text(text.ljust(cli._MAX_GRAPH_CHARS), encoding="utf-8")
+    assert run(["graph", str(path)], capsys) == (0, "1\n", "")
+
+
+def test_graph_reports_the_shape_of_a_null_document(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text("null", encoding="utf-8")
+    assert run(["graph", str(path)], capsys) == (
+        1, "", "error: top-level JSON value must be an object\n")
+
+
 def test_unexpected_exceptions_exit_two(monkeypatch, capsys):
     def broken(vec):
         raise RuntimeError("broken\non two lines")

@@ -1,10 +1,12 @@
 """Parser behavior: grammar, errors, and the parse/render round trip."""
 
+import ast
 import gc
 import json
 import random
 import string
 from collections import namedtuple
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -288,6 +290,34 @@ def test_parsing_leaves_no_reference_cycles():
 @pytest.mark.parametrize("text", ["P(1)xP(1)", "P(1) xP(1)", "P(1)x P(1)"])
 def test_glued_x_is_the_product_operator(text):
     assert parse_variety(text) == parse_variety("P(1) x P(1)")
+
+
+def _parser_tree():
+    source = Path(__file__).parents[1] / "src" / "lyubeznik" / "parser.py"
+    return ast.parse(source.read_text(encoding="utf-8"))
+
+
+def test_parser_has_no_closures():
+    # The descent functions pass the token index along, so no function
+    # shares state with another through a closure, and none forms a
+    # reference cycle that would keep a parse's tokens alive.
+    tree = _parser_tree()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    nested = [f"parser.py:{inner.lineno}"
+              for outer in ast.walk(tree) if isinstance(outer, functions)
+              for inner in ast.walk(outer)
+              if inner is not outer and isinstance(inner, functions)]
+    assert nested == []
+    assert not any(isinstance(node, ast.Nonlocal) for node in ast.walk(tree))
+
+
+def test_parser_imports_only_the_tree_classes_from_variety():
+    # Each atom class reads its own arguments, so the parser needs neither
+    # CompleteIntersection nor SemanticError.
+    names = [alias.name for node in ast.walk(_parser_tree())
+             if isinstance(node, ast.ImportFrom) and node.module == "variety"
+             for alias in node.names]
+    assert sorted(names) == ["Atom", "DisjointUnion", "Product", "VarietyExpr"]
 
 
 # --- differential check against the token-object parser ---------------------
