@@ -528,8 +528,8 @@ def test_graph_rejects_unreadable_json(tmp_path, text, capsys):
 
 
 def test_graph_refuses_a_file_longer_than_the_bound(tmp_path, capsys):
-    # A valid JSON value one character over the bound: the length is
-    # refused before json reads it, not its shape.
+    # A valid JSON value one character over the bound is refused for its
+    # length, before json reads it and so before its shape is checked.
     path = tmp_path / "graph.json"
     path.write_text("[]" + " " * (cli._MAX_GRAPH_CHARS - 1), encoding="utf-8")
     assert run(["graph", str(path)], capsys) == (
