@@ -8,6 +8,16 @@ unknown origin.  An atom's vector is ``betti(Atom(...))``, so a bad
 argument raises the atom's ``SemanticError`` (a ``ValueError``); a
 product's or a union's is ``betti(Product(x, y))`` or
 ``betti(DisjointUnion(x, y))``.  All functions are pure and values immutable.
+
+A product's vector is the coefficient list of the product of its factors'
+Poincare polynomials (Kunneth).  ``_product`` multiplies a whole chain of
+factors at once, by one of two routes chosen from the factors alone: the
+entry-by-entry ``_convolve``, or Kronecker substitution, which packs each
+factor into the integer P(2^s), multiplies those integers and reads the
+product's coefficients back as base-2^s digits.  It packs only when the
+pairs of nonzero entries that ``_convolve`` would multiply outnumber the
+entries to pack and unpack by ``_PACK_PAIRS_PER_ENTRY``, and the slot of
+s bits is at most ``_MAX_SLOT_BYTES`` wide.
 """
 
 from math import comb, prod
@@ -168,6 +178,65 @@ def _convolve(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+# Packing pays once the pairs that ``_convolve`` would multiply outnumber
+# the entries that packing converts (each factor's and the product's) by
+# this factor; below it, the per-entry byte conversions cost more than
+# the pairs they save.
+_PACK_PAIRS_PER_ENTRY = 3
+# The one multiplication of the packed route costs super-linearly in the
+# slot width, and a single huge entry widens every slot; past this width
+# the pairs of ``_convolve`` are cheaper.
+_MAX_SLOT_BYTES = 32
+# Looked up once: the packed route calls it for every entry.
+_from_bytes = int.from_bytes
+
+
+def _slot_bytes(factors) -> int:
+    """Bytes per coefficient when ``factors`` are multiplied packed.
+
+    Every entry is nonnegative, so no coefficient of any partial product,
+    nor any entry of a factor, exceeds the product of the factors'
+    coefficient sums (a zero factor counting as 1), and that bound fits in
+    one byte more than its whole bytes."""
+    return prod([sum(factor) or 1 for factor in factors]).bit_length() // 8 + 1
+
+
+def _product(factors: list) -> tuple:
+    """The coefficients of the product of the polynomials ``factors``
+    (tuples of nonnegative integers), equal to folding them with
+    ``_convolve``.
+
+    Where that fold would multiply many pairs of nonzero entries and the
+    slot stays narrow, each factor is packed as the integer P(2^s), s a
+    whole number of bytes, the integers are multiplied in C, and the
+    product is read back as its base-2^s digits: no digit carries, since
+    ``_slot_bytes`` bounds every coefficient.  Otherwise the factors are
+    folded with ``_convolve``."""
+    value = factors[0]
+    # An upper bound on the pairs the fold multiplies: a partial product
+    # has at most as many nonzero entries as its length and as the
+    # product of its factors' nonzero counts.
+    nonzero, length, pairs = len(value) - value.count(0), len(value), 0
+    for factor in factors[1:]:
+        count = len(factor) - factor.count(0)
+        pairs += nonzero * count
+        length += len(factor) - 1
+        nonzero = min(length, nonzero * count)
+    # The slot is wider than any entry, and the largest entry is found
+    # without the big additions of the coefficient sums.
+    if (pairs <= _PACK_PAIRS_PER_ENTRY * (length + sum(map(len, factors)))
+            or max(map(max, factors)).bit_length() > 8 * _MAX_SLOT_BYTES
+            or (width := _slot_bytes(factors)) > _MAX_SLOT_BYTES):
+        for factor in factors[1:]:
+            value = _convolve(value, factor)
+        return value
+    data = prod([_from_bytes(b"".join([c.to_bytes(width, "little") for c in factor]),
+                             "little")
+                 for factor in factors]).to_bytes(width * length, "little")
+    return tuple([_from_bytes(data[i:i + width], "little")
+                  for i in range(0, width * length, width)])
+
+
 def _grassmannian(a: Grassmannian) -> tuple:
     betti = [0] * (2 * a.dim + 1)
     betti[::2] = _partitions_in_box(a.k, a.n - a.k)
@@ -211,20 +280,36 @@ def betti(expr: VarietyExpr) -> BettiVector:
     The walk folds the tree's post-order on plain tuples, as
     ``_from_postorder`` folds it on nodes; the tree already guarantees
     equal dimensions at each union, and one ``BettiVector`` is built, and
-    checked, at the root.  The depth of the tree is not bounded by the
-    interpreter's recursion limit.
+    checked, at the root.  A product subtree's value is the list of its
+    factors' tuples, multiplied out by ``_product`` only where a union or
+    the root needs the vector, so a chain of factors is multiplied in one
+    step, packed into integers where that is cheaper.  The depth of the
+    tree is not bounded by the interpreter's recursion limit.
 
     >>> str(betti(Product(Curve(1), ProjSpace(1))))
     '(1, 2, 2, 2, 1)'
     """
     values = []
     for item in postorder(expr):
-        if isinstance(item, type):
-            right = values.pop()
+        if not isinstance(item, type):
+            values.append(_ATOM_BETTI[type(item)](item))
+            continue
+        right = values.pop()
+        left = values[-1]
+        if item is Product:
+            if type(left) is not list:
+                left = values[-1] = [left]
+            if type(right) is list:
+                left += right
+            else:
+                left.append(right)
+        else:
+            if type(left) is list:
+                left = _product(left)
+            if type(right) is list:
+                right = _product(right)
             # A display allocates the sum once, at its size; tuple(map(...))
             # would grow it in steps, which fragments the heap.
-            values[-1] = (_convolve(values[-1], right) if item is Product
-                          else (*map(add, values[-1], right),))
-        else:
-            values.append(_ATOM_BETTI[type(item)](item))
-    return BettiVector(expr.dim, values[0])
+            values[-1] = (*map(add, left, right),)
+    value = values[0]
+    return BettiVector(expr.dim, _product(value) if type(value) is list else value)

@@ -12,6 +12,8 @@ Output is deterministic: identical invocations produce identical bytes.
 """
 
 import argparse
+import codecs
+import io
 import sys
 
 from .betti import AdmissibilityError, InternalConsistencyError, betti
@@ -180,11 +182,19 @@ def cmd_graph(path: str, out=None) -> int:
     """Read a component-intersection JSON file and print the corner entry."""
     import json  # only this command reads JSON; the others start without it
     out = out if out is not None else sys.stdout
-    with open(path, encoding="utf-8") as handle:
-        try:
-            text = handle.read(_MAX_GRAPH_CHARS + 1)
-        except UnicodeDecodeError as exc:
-            raise GraphError(str(exc)) from None
+    # UTF-8 spends at most 4 bytes on a character.  The prefix is decoded
+    # in one step, so a decoding error names its offset in the file, and
+    # with text mode's newline translation, so JSON offsets count the
+    # characters that text mode would read.
+    limit = 4 * (_MAX_GRAPH_CHARS + 1)
+    with open(path, "rb") as handle:
+        data = handle.read(limit)
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(),
+                                           translate=True)
+    try:
+        text = decoder.decode(data, final=len(data) < limit)
+    except UnicodeDecodeError as exc:
+        raise GraphError(str(exc)) from None
     if len(text) > _MAX_GRAPH_CHARS:
         raise GraphError(f"the file is longer than {_MAX_GRAPH_CHARS} characters")
     try:

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import variety_exprs
@@ -251,6 +251,130 @@ def test_convolve_commutes_and_matches_double_sum(a, b):
     expected = convolve_naive(a, b)
     assert betti_module._convolve(a, b) == expected
     assert betti_module._convolve(b, a) == expected
+
+
+# --- the packed product against the convolution fold --------------------------
+
+_NINES = "9" * 2000
+# The slot width of the product bound: 2^253 + 1 and 2 multiply to a
+# 255-bit bound, the widest that fits 32 bytes; 2^254 + 1 to a 256-bit one.
+_CAP = 8 * betti_module._MAX_SLOT_BYTES
+_AT_CAP = [(2 ** (_CAP - 3), 1), (1, 1)]
+_OVER_CAP = [(2 ** (_CAP - 2), 1), (1, 1)]
+_factor_lists = st.lists(st.one_of(_coefficients, st.lists(
+    st.one_of(st.just(0), st.integers(0, 3)), min_size=1, max_size=30).map(tuple)),
+    min_size=1, max_size=6)
+
+
+def _routes(monkeypatch):
+    """Count calls of each route of ``_product``: ``_convolve`` steps, and
+    the entries the packed route reads or writes with ``int.from_bytes``."""
+    calls = {"direct": 0, "packed": 0}
+    convolve, from_bytes = betti_module._convolve, betti_module._from_bytes
+
+    def counting_convolve(a, b):
+        calls["direct"] += 1
+        return convolve(a, b)
+
+    def counting_from_bytes(data, order):
+        calls["packed"] += 1
+        return from_bytes(data, order)
+
+    monkeypatch.setattr(betti_module, "_convolve", counting_convolve)
+    monkeypatch.setattr(betti_module, "_from_bytes", counting_from_bytes)
+    return calls
+
+
+def _fold(factors):
+    value = factors[0]
+    for factor in factors[1:]:
+        value = betti_module._convolve(value, factor)
+    return value
+
+
+@pytest.mark.parametrize("pairs_per_entry", [betti_module._PACK_PAIRS_PER_ENTRY, -1])
+def test_product_equals_convolve_fold(pairs_per_entry, monkeypatch):
+    # -1 packs every list whose slot fits, so the packing arithmetic meets
+    # every input, the one-entry factors whose coefficient equals the
+    # bound included.
+    expected_of = {}
+
+    @settings(max_examples=300)
+    @given(_factor_lists)
+    @example([(1,) * 20, (1,) * 20])                 # dense: packed
+    @example([(1, 0, 0, 0, 1), (1, 0, 1)])          # sparse: direct
+    @example([(1, 0, 0, 2, 0, 0, 0, 0, 1)])         # one factor
+    @example([(0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 7), (1, 0, 0, 0, 0, 0, 0, 0, 3)] * 3)
+    @example([(16,), (16,)])                        # bound 256 = 2^8 in one entry
+    @example([(1, 1)] * 8 + [(1,) * 40])            # bound 2^8 * 40
+    @example(_AT_CAP)
+    @example(_OVER_CAP)
+    def check(factors):
+        expected_of[id(factors)] = expected = _fold(factors)
+        assert betti_module._product(list(factors)) == expected
+
+    monkeypatch.setattr(betti_module, "_PACK_PAIRS_PER_ENTRY", pairs_per_entry)
+    assert betti_module._slot_bytes(_AT_CAP) == betti_module._MAX_SLOT_BYTES
+    assert betti_module._slot_bytes(_OVER_CAP) == betti_module._MAX_SLOT_BYTES + 1
+    assert betti_module._slot_bytes([(16,), (16,)]) == 2
+    calls = _routes(monkeypatch)
+    check()
+    assert calls["direct"] > 0 and calls["packed"] > 0
+
+
+def test_product_leaves_huge_literals_to_convolve(monkeypatch, capsys):
+    # One huge middle entry widens every slot of the packed integer; the
+    # convolution multiplies it only where its pairs are nonzero.
+    calls = _routes(monkeypatch)
+    for text in (f"CI(33; {_NINES}) x Ab(32)", f"Gr(8,16) x Curve({_NINES})"):
+        calls.update(direct=0, packed=0)
+        betti(parse_variety(text))
+        assert calls == {"direct": 1, "packed": 0}, text
+    assert main(["betti", f"CI(33; {_NINES}) x Ab(32)", "--max-dim", "200"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: a Betti number has more than 4300 digits, the printable bound\n")
+    assert main(["betti", f"Gr(8,16) x Curve({_NINES})", "--max-dim", "200",
+                 "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("j,beta\n0,1\n1,")
+
+
+def test_packing_bug_cannot_pass_as_verified(monkeypatch, capsys):
+    # With a slot one byte too narrow the largest coefficients carry into
+    # their neighbours; the duality check of the table sees the product.
+    chain = " x ".join(["Curve(2)"] * 64)
+    factors = [betti(Curve(2)).betti] * 64
+    width = betti_module._slot_bytes(factors)
+    assert max(betti(parse_variety(chain)).betti).bit_length() > 8 * (width - 1)
+    slot_bytes = betti_module._slot_bytes
+    monkeypatch.setattr(betti_module, "_slot_bytes", lambda f: slot_bytes(f) - 1)
+    assert main(["compute", chain, "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(("internal consistency failure: ",
+                           "internal error: OverflowError: "))
+
+
+def test_product_chain_is_multiplied_once(monkeypatch):
+    # A product subtree stays a factor list until a union or the root
+    # needs its vector, whatever the nesting of its joins.
+    lists = []
+    product = betti_module._product
+
+    def recording(factors):
+        lists.append(len(factors))
+        return product(factors)
+
+    monkeypatch.setattr(betti_module, "_product", recording)
+    for text, expected in (
+            ("P(1) x (Curve(1) x (Ab(2) x P(3)))", [4]),
+            ("(P(1) x Curve(1)) x (Ab(2) x P(3))", [4]),
+            ("P(2) x P(1) + Curve(1) x (P(1) x P(1)) + Ab(3)", [2, 3]),
+            ("P(3) + Ab(1) x (P(2) + Curve(1) x P(1))", [2, 2]),
+            ("P(3) + Ab(3)", [])):
+        lists.clear()
+        betti(parse_variety(text))
+        assert lists == expected, text
 
 
 def test_disjoint_union_sums():

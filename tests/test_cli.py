@@ -257,6 +257,17 @@ _GRAPH_FILE_ROWS = [
      "error: an integer in the file has more than 4300 digits\n"),
     ("invalid-utf8", b"\xff", "error: 'utf-8' codec can't decode byte 0xff "
                               "in position 0: invalid start byte\n"),
+    # A decoding error names its byte offset in the file, also past the
+    # first read chunk and at a sequence cut off by the end of the file.
+    ("invalid-utf8-after-multibyte", "é".encode() * 2000000 + b" " * 500000 + b"\xff",
+     "error: 'utf-8' codec can't decode byte 0xff in position 4500000: "
+     "invalid start byte\n"),
+    ("truncated-utf8-at-end", b'["\xc3', "error: 'utf-8' codec can't decode byte "
+                                         "0xc3 in position 2: unexpected end of data\n"),
+    # Newlines are translated as in text mode, so "\r\n" counts as one
+    # character in the offsets of a JSON error.
+    ("malformed-crlf", b'{\r\n"components": [\r\n{"name": "A",\r\n "dim": 2}\r\n,]\r\n}',
+     "error: Expecting value: line 5 column 2 (char 44)\n"),
 ]
 
 
