@@ -202,16 +202,10 @@ def _slot_bytes(factors) -> int:
 
 
 def _product(factors: list) -> tuple:
-    """The coefficients of the product of the polynomials ``factors``
-    (tuples of nonnegative integers), equal to folding them with
-    ``_convolve``.
-
-    Where that fold would multiply many pairs of nonzero entries and the
-    slot stays narrow, each factor is packed as the integer P(2^s), s a
-    whole number of bytes, the integers are multiplied in C, and the
-    product is read back as its base-2^s digits: no digit carries, since
-    ``_slot_bytes`` bounds every coefficient.  Otherwise the factors are
-    folded with ``_convolve``."""
+    """The product of the polynomials ``factors``, tuples of nonnegative
+    integers: their ``_convolve`` fold or, where the rules in the module
+    docstring choose it, the same numbers by Kronecker substitution at
+    s = 8 * ``_slot_bytes(factors)`` bits, whose digits never carry."""
     value = factors[0]
     # An upper bound on the pairs the fold multiplies: a partial product
     # has at most as many nonzero entries as its length and as the
