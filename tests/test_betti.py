@@ -297,8 +297,6 @@ def test_product_equals_convolve_fold(pairs_per_entry, monkeypatch):
     # -1 packs every list whose slot fits, so the packing arithmetic meets
     # every input, the one-entry factors whose coefficient equals the
     # bound included.
-    expected_of = {}
-
     @settings(max_examples=300)
     @given(_factor_lists)
     @example([(1,) * 20, (1,) * 20])                 # dense: packed
@@ -310,8 +308,7 @@ def test_product_equals_convolve_fold(pairs_per_entry, monkeypatch):
     @example(_AT_CAP)
     @example(_OVER_CAP)
     def check(factors):
-        expected_of[id(factors)] = expected = _fold(factors)
-        assert betti_module._product(list(factors)) == expected
+        assert betti_module._product(list(factors)) == _fold(factors)
 
     monkeypatch.setattr(betti_module, "_PACK_PAIRS_PER_ENTRY", pairs_per_entry)
     assert betti_module._slot_bytes(_AT_CAP) == betti_module._MAX_SLOT_BYTES
