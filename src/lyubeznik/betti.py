@@ -53,7 +53,8 @@ class InternalConsistencyError(RuntimeError):
 class BettiVector(Value):
     """Dimension r together with the 2r + 1 Betti numbers beta_0..beta_{2r}.
 
-    Construction checks only shape and nonnegativity, so vectors that fail
+    Construction checks only shape and that ``dim`` and every entry are
+    nonnegative plain ``int``s (not ``bool``), so vectors that fail
     duality or hard Lefschetz can be represented (and then rejected by
     ``check_lefschetz_admissible``).
 
@@ -65,13 +66,13 @@ class BettiVector(Value):
 
     def __init__(self, dim: int, betti):
         betti = tuple(betti)
-        if dim < 0:
-            raise ValueError(f"dimension must be nonnegative, got {dim}")
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"dimension must be a nonnegative integer, got {dim!r}")
         if len(betti) != 2 * dim + 1:
             raise ValueError(
                 f"dimension {dim} needs {2 * dim + 1} entries, got {len(betti)}")
         for j, b in enumerate(betti):
-            if not isinstance(b, int) or b < 0:
+            if type(b) is not int or b < 0:
                 raise ValueError(f"beta_{j} must be a nonnegative integer, got {b!r}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "betti", betti)

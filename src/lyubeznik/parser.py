@@ -88,7 +88,7 @@ def _unexpected(token: tuple, expected: tuple) -> ParseError:
 
 _ATOMS = {cls.name: cls for cls in Atom.__subclasses__()}
 
-# Guards against pathological paren nesting blowing the interpreter stack.
+# The input's nesting bound; the descent takes one frame per open parenthesis.
 _MAX_DEPTH = 200
 
 
@@ -99,7 +99,7 @@ def parse_variety(text: str) -> VarietyExpr:
     Product(left=Curve(g=1), right=ProjSpace(n=1))
     """
     toks = _lex(text)
-    expr, i = _union(toks, 0, 0)
+    expr, i = _group(toks, 0, 0)
     kind, word, pos, _ = toks[i]
     if kind != "END":
         raise ParseError(f"unexpected {word!r} after expression", pos,
@@ -107,35 +107,35 @@ def parse_variety(text: str) -> VarietyExpr:
     return expr
 
 
-# Each descent function returns (tree, index of the next unread token).
-# _union reads "expr", with "prod" as its inner loop.
-def _union(toks: list, i: int, depth: int) -> tuple:
-    union = None
+def _group(toks: list, i: int, depth: int) -> tuple:
+    """Read "expr" inside ``depth`` open parentheses from ``toks[i]``.  An
+    operand is a constructor or a group one level deeper; ``x`` extends the
+    product, ``+`` adds it to the union, and any other token ends the group:
+    (tree, that token's index) go back to the caller to check ")" or END."""
+    union = prod = None
     while True:
-        expr, i = _atom(toks, i, depth)
-        while toks[i][0] == "x":
-            right, i = _atom(toks, i + 1, depth)
-            expr = Product(expr, right)
-        if union is not None:
-            expr = DisjointUnion(union, expr)
-        if toks[i][0] != "+":
-            return expr, i
-        union, i = expr, i + 1
-
-
-def _atom(toks: list, i: int, depth: int) -> tuple:
-    # depth counts the parentheses open around this atom
-    kind, _, pos, _ = toks[i]
-    if kind == "NAME":
-        return _constructor(toks, i)
-    if kind != "(":
-        raise _unexpected(toks[i], ("constructor name", "'('"))
-    if depth == _MAX_DEPTH:
-        raise ParseError("parenthesis nesting too deep", pos)
-    expr, i = _union(toks, i + 1, depth + 1)
-    if toks[i][0] != ")":
-        raise _unexpected(toks[i], ("')'",))
-    return expr, i + 1
+        kind, _, pos, _ = toks[i]
+        if kind == "NAME":
+            expr, i = _constructor(toks, i)
+        elif kind != "(":
+            raise _unexpected(toks[i], ("constructor name", "'('"))
+        elif depth == _MAX_DEPTH:
+            raise ParseError("parenthesis nesting too deep", pos)
+        else:
+            expr, i = _group(toks, i + 1, depth + 1)
+            if toks[i][0] != ")":
+                raise _unexpected(toks[i], ("')'",))
+            i += 1
+        if prod is not None:
+            expr = Product(prod, expr)
+        kind = toks[i][0]
+        if kind != "x":
+            if union is not None:
+                expr = DisjointUnion(union, expr)
+            if kind != "+":
+                return expr, i
+            union, expr = expr, None  # the next operand starts a product
+        prod, i = expr, i + 1
 
 
 def _constructor(toks: list, i: int) -> tuple:

@@ -19,7 +19,9 @@ class LyubeznikTable(Value):
     Only ``first_row`` (lambda_{0,0}, ..., lambda_{0,d}) and ``corner``
     (lambda_{d,d}) are stored.  Reading ``table[i, j]`` derives the rest:
     lambda_{l,d} = lambda_{0,d+1-l} for 1 <= l <= d - 1, and zero elsewhere,
-    including every index above d.
+    including every index above d.  ``dim_a``, ``corner`` and each
+    first-row entry must be plain ``int``s (not ``bool``), the entries
+    nonnegative.
 
     >>> table = LyubeznikTable(3, (0, 0, 2, 0), 1)
     >>> table[2, 3], table[3, 3], table[1, 2]
@@ -29,15 +31,20 @@ class LyubeznikTable(Value):
     __slots__ = fields = ("dim_a", "first_row", "corner")
 
     def __init__(self, dim_a: int, first_row, corner: int):
-        if dim_a < 2:
-            raise ValueError(f"the cone over a variety has dimension >= 2, got {dim_a}")
+        if type(dim_a) is not int or dim_a < 2:
+            raise ValueError(f"the cone over a variety has integer dimension >= 2, got {dim_a!r}")
         first_row = tuple(first_row)
         if len(first_row) != dim_a + 1:
             raise ValueError(f"the first row must have {dim_a + 1} entries")
         if first_row[0] != 0 or first_row[dim_a] != 0:
             raise ValueError(f"lambda_(0,0) and lambda_(0,{dim_a}) must vanish")
-        if corner < 1:
-            raise ValueError("the corner entry counts components and must be positive")
+        for j, v in enumerate(first_row):
+            if type(v) is not int or v < 0:
+                raise ValueError(
+                    f"lambda_(0,{j}) must be a nonnegative integer, got {v!r}")
+        if type(corner) is not int or corner < 1:
+            raise ValueError("the corner entry counts components and must be "
+                             f"a positive integer, got {corner!r}")
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "first_row", first_row)
         object.__setattr__(self, "corner", corner)

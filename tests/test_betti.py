@@ -423,6 +423,12 @@ def test_betti_vector_validation():
         BettiVector(-1, ())             # negative dimension
     with pytest.raises(ValueError):
         BettiVector(1, (1, 2.5, 1))     # non-integer entry
+    with pytest.raises(ValueError):
+        BettiVector(1.0, (1, 2, 1))     # non-integer dimension
+    with pytest.raises(ValueError):
+        BettiVector(True, (1, 2, 1))    # bool dimension
+    with pytest.raises(ValueError):
+        BettiVector(1, (True, 2, True))  # bool entries
 
 
 def test_betti_vector_str():

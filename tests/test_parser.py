@@ -5,6 +5,7 @@ import gc
 import json
 import random
 import string
+import sys
 from collections import namedtuple
 from pathlib import Path
 
@@ -268,6 +269,21 @@ def test_semantic_error_bytes(text, message):
 
 def test_nesting_at_the_depth_limit_parses():
     assert parse_variety("(" * 200 + "P(1)" + ")" * 200) == ProjSpace(1)
+
+
+def test_descent_takes_one_frame_per_open_parenthesis():
+    # _MAX_DEPTH bounds the stack: nesting at the limit must fit in the
+    # frames already in use plus one per parenthesis and a small margin.
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + _MAX_DEPTH + 20)
+    try:
+        deep = "(" * _MAX_DEPTH + "P(1)" + ")" * _MAX_DEPTH
+        assert parse_variety(deep) == ProjSpace(1)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_parsing_leaves_no_reference_cycles():

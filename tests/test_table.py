@@ -173,6 +173,20 @@ def test_table_shape_validation(expr_corpus):
         LyubeznikTable(3, (0, 0, 2, 1), 1)  # lambda_(0,d) must vanish
     with pytest.raises(ValueError):
         LyubeznikTable(3, (0, 0, 2, 0), 0)  # the corner counts components
+    with pytest.raises(ValueError):
+        LyubeznikTable(2, (0, -5, 0), 1)  # negative entry
+    with pytest.raises(ValueError):
+        LyubeznikTable(2, (0, 1.0, 0), 1)  # non-integer entry
+    with pytest.raises(ValueError):
+        LyubeznikTable(2, (0, True, 0), 1)  # bool entry
+    with pytest.raises(ValueError):
+        LyubeznikTable(2, (0, 1, 0), True)  # bool corner
+    with pytest.raises(ValueError):
+        LyubeznikTable(2, (0, 1, 0), 1.0)  # non-integer corner
+    with pytest.raises(ValueError):
+        LyubeznikTable(2.5, (0, 1, 0), 1)  # non-integer dimension
+    with pytest.raises(ValueError):
+        LyubeznikTable(2.0, (0, 1, 0), 1)  # float dimension
     good = LyubeznikTable(3, (0, 0, 2, 0), 1)
     assert good.nonzero() == ((0, 2, 2), (2, 3, 2), (3, 3, 1))
     assert_table_invariants(good)
