@@ -32,7 +32,8 @@ class LyubeznikTable(Value):
 
     def __init__(self, dim_a: int, first_row, corner: int):
         if type(dim_a) is not int or dim_a < 2:
-            raise ValueError(f"the cone over a variety has integer dimension >= 2, got {dim_a!r}")
+            raise ValueError(
+                f"the cone over a variety has integer dimension >= 2, got {dim_a!r}")
         first_row = tuple(first_row)
         if len(first_row) != dim_a + 1:
             raise ValueError(f"the first row must have {dim_a + 1} entries")
