@@ -272,14 +272,16 @@ def betti(expr: VarietyExpr) -> BettiVector:
     """Betti vector of an arbitrary variety expression: Kunneth at each
     product and sums at each disjoint union, evaluated bottom-up.
 
-    The walk folds the tree's post-order on plain tuples, as
-    ``_from_postorder`` folds it on nodes; the tree already guarantees
-    equal dimensions at each union, and one ``BettiVector`` is built, and
-    checked, at the root.  A product subtree's value is the list of its
-    factors' tuples, multiplied out by ``_product`` only where a union or
-    the root needs the vector, so a chain of factors is multiplied in one
-    step, packed into integers where that is cheaper.  The depth of the
-    tree is not bounded by the interpreter's recursion limit.
+    The walk folds the tree's post-order, as ``_from_postorder`` folds it
+    on nodes, and every subtree's value is a list of factor tuples whose
+    product is its Poincare polynomial: an atom's is ``[vector]``, and a
+    product joins its operands' lists.  A union, like the root, needs the
+    vectors: the lone factor, or ``_product`` of a longer list, so a chain
+    of factors is multiplied in one step, packed into integers where that
+    is cheaper.  The tree already guarantees equal dimensions at each
+    union, and one ``BettiVector`` is built, and checked, at the root.
+    The depth of the tree is not bounded by the interpreter's recursion
+    limit.
 
     >>> str(betti(Product(Curve(1), ProjSpace(1))))
     '(1, 2, 2, 2, 1)'
@@ -287,24 +289,17 @@ def betti(expr: VarietyExpr) -> BettiVector:
     values = []
     for item in postorder(expr):
         if not isinstance(item, type):
-            values.append(_ATOM_BETTI[type(item)](item))
+            values.append([_ATOM_BETTI[type(item)](item)])
             continue
         right = values.pop()
         left = values[-1]
         if item is Product:
-            if type(left) is not list:
-                left = values[-1] = [left]
-            if type(right) is list:
-                left += right
-            else:
-                left.append(right)
-        else:
-            if type(left) is list:
-                left = _product(left)
-            if type(right) is list:
-                right = _product(right)
-            # A display allocates the sum once, at its size; tuple(map(...))
-            # would grow it in steps, which fragments the heap.
-            values[-1] = (*map(add, left, right),)
-    value = values[0]
-    return BettiVector(expr.dim, _product(value) if type(value) is list else value)
+            left += right
+            continue
+        left = left[0] if len(left) == 1 else _product(left)
+        right = right[0] if len(right) == 1 else _product(right)
+        # A display allocates the sum once, at its size; tuple(map(...))
+        # would grow it in steps, which fragments the heap.
+        values[-1] = [(*map(add, left, right),)]
+    factors = values[0]
+    return BettiVector(expr.dim, factors[0] if len(factors) == 1 else _product(factors))

@@ -25,7 +25,8 @@ from .variety import SemanticError, dimension, render
 
 _DEFAULT_MAX_DIM = 64
 # Every integer the program prints has at most MAX_INT_DIGITS decimal
-# digits, Python's default limit for int/str conversion.
+# digits, Python's default limit for int/str conversion since 3.10.7 (the
+# package's floor); past it json's int() raises the ValueError graph reports.
 MAX_INT_DIGITS = 4300
 _PRINTABLE_BOUND = 10 ** MAX_INT_DIGITS
 # graph refuses a longer component file before json holds it in memory.

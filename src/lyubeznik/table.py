@@ -19,9 +19,9 @@ class LyubeznikTable(Value):
     Only ``first_row`` (lambda_{0,0}, ..., lambda_{0,d}) and ``corner``
     (lambda_{d,d}) are stored.  Reading ``table[i, j]`` derives the rest:
     lambda_{l,d} = lambda_{0,d+1-l} for 1 <= l <= d - 1, and zero elsewhere,
-    including every index above d.  ``dim_a``, ``corner`` and each
-    first-row entry must be plain ``int``s (not ``bool``), the entries
-    nonnegative.
+    including every index above d.  Both indices, ``dim_a``, ``corner``
+    and each first-row entry must be plain ``int``s (not ``bool``), the
+    entries nonnegative.
 
     >>> table = LyubeznikTable(3, (0, 0, 2, 0), 1)
     >>> table[2, 3], table[3, 3], table[1, 2]
@@ -52,6 +52,8 @@ class LyubeznikTable(Value):
 
     def __getitem__(self, key) -> int:
         i, j = key
+        if type(i) is not int or type(j) is not int:
+            raise TypeError(f"table indices must be plain ints, got {key!r}")
         if i < 0 or j < 0:
             raise IndexError("table indices are nonnegative")
         d = self.dim_a
@@ -59,9 +61,7 @@ class LyubeznikTable(Value):
             return 0
         if i == 0:
             return self.first_row[j]
-        if j != d:
-            return 0
-        return self.corner if i == d else self.first_row[d + 1 - i]
+        return self.last_column()[i - 1] if j == d else 0
 
     def last_column(self) -> tuple:
         """lambda_{1,d}, ..., lambda_{d,d}: the first row reversed, then the

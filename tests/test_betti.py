@@ -353,8 +353,9 @@ def test_packing_bug_cannot_pass_as_verified(monkeypatch, capsys):
 
 
 def test_product_chain_is_multiplied_once(monkeypatch):
-    # A product subtree stays a factor list until a union or the root
-    # needs its vector, whatever the nesting of its joins.
+    # Every subtree is a list of factors: a product joins its operands'
+    # lists, and only a union or the root multiplies a list of two or more
+    # out, whatever the nesting of its joins.
     lists = []
     product = betti_module._product
 
@@ -368,7 +369,9 @@ def test_product_chain_is_multiplied_once(monkeypatch):
             ("(P(1) x Curve(1)) x (Ab(2) x P(3))", [4]),
             ("P(2) x P(1) + Curve(1) x (P(1) x P(1)) + Ab(3)", [2, 3]),
             ("P(3) + Ab(1) x (P(2) + Curve(1) x P(1))", [2, 2]),
-            ("P(3) + Ab(3)", [])):
+            ("P(3) + Ab(3)", []),
+            ("(P(1) + Curve(0)) x Ab(1) x (P(1) + P(1))", [3]),
+            ("P(1) x (P(1) + (Curve(0) + P(1)))", [2])):
         lists.clear()
         betti(parse_variety(text))
         assert lists == expected, text

@@ -32,3 +32,45 @@ def test_no_tuple_grown_from_an_unsized_iterator(source):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "tuple" and node.args and _grows_in_steps(node.args[0])]
     assert offenders == []
+
+
+
+# ``__init__.py`` imports the package's API, which it does not use itself.
+_MODULES = [p for p in _SOURCES if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("source", _MODULES, ids=[p.name for p in _MODULES])
+def test_every_import_is_used(source):
+    """A module reads every name it imports; ``import a.b`` binds ``a``."""
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).partition(".")[0]: node.lineno
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [f"{source.name}:{line} {name}" for name, line in imported.items()
+            if name not in used] == []
+
+
+def test_every_private_module_name_is_loaded():
+    """Every module-level ``_private`` function, class or variable is read
+    somewhere in the package, by name or as an attribute."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in _SOURCES}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                sides = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [leaf.id for side in sides for leaf in ast.walk(side)
+                           if isinstance(leaf, ast.Name)]
+            else:
+                continue
+            orphans += [f"{name}:{node.lineno} {target}" for target in targets
+                        if target.startswith("_") and not target.startswith("__")
+                        and target not in loaded]
+    assert orphans == []

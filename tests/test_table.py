@@ -130,6 +130,11 @@ def test_indexing_outside_the_stored_range():
     assert table[0, 99] == 0
     with pytest.raises(IndexError):
         table[-1, 0]
+    # Only plain ints index the table: a float or a bool is refused, not
+    # truncated, read as zero or read as 0 or 1.
+    for key in ((1.5, 0), (True, 3), (2.0, 3), (0, False), (3, 3.0)):
+        with pytest.raises(TypeError):
+            table[key]
 
 
 def assert_table_invariants(table):
