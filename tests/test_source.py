@@ -34,7 +34,6 @@ def test_no_tuple_grown_from_an_unsized_iterator(source):
     assert offenders == []
 
 
-
 # ``__init__.py`` imports the package's API, which it does not use itself.
 _MODULES = [p for p in _SOURCES if p.name != "__init__.py"]
 
