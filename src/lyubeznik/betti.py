@@ -281,15 +281,24 @@ def betti(expr: VarietyExpr) -> BettiVector:
     is cheaper.  The tree already guarantees equal dimensions at each
     union, and one ``BettiVector`` is built, and checked, at the root.
     The depth of the tree is not bounded by the interpreter's recursion
-    limit.
+    limit.  Each distinct atom object is expanded once per call, however
+    often the tree holds it (the parser shares equal atoms); nothing is
+    kept between calls.
 
     >>> str(betti(Product(Curve(1), ProjSpace(1))))
     '(1, 2, 2, 2, 1)'
     """
     values = []
+    # Each atom's vector by id: the tree keeps every atom alive for the
+    # whole walk, so no id is reused.
+    vectors = {}
     for item in postorder(expr):
         if not isinstance(item, type):
-            values.append([_ATOM_BETTI[type(item)](item)])
+            key = id(item)
+            vector = vectors.get(key)
+            if vector is None:
+                vector = vectors[key] = _ATOM_BETTI[type(item)](item)
+            values.append([vector])
             continue
         right = values.pop()
         left = values[-1]

@@ -16,10 +16,11 @@ with ``x``.  Any other character is a syntax error.
 
 Each atom class reads its own argument list (``Atom._from_args``,
 beside the ``text()`` it inverts): the semicolon form belongs to CI
-alone, ``CI(n; d1,...,dc)``.  Every input either yields a valid tree or
-raises ``ParseError`` (with the offset and the tokens that would have
-been accepted) or ``SemanticError``; a bad character is reported before
-any syntax error.
+alone, ``CI(n; d1,...,dc)``.  Within one parse, equal atoms are built
+once and shared by every place that writes them.  Every input either
+yields a valid tree or raises ``ParseError`` (with the offset and the
+tokens that would have been accepted) or ``SemanticError``; a bad
+character is reported before any syntax error.
 """
 
 from .variety import Atom, DisjointUnion, Product, VarietyExpr
@@ -95,11 +96,14 @@ _MAX_DEPTH = 200
 def parse_variety(text: str) -> VarietyExpr:
     """Parse ``text`` into a variety expression.
 
+    Equal atoms within ``text`` are one object, built and validated once;
+    no atom is shared with another call's tree.
+
     >>> parse_variety("Curve(1) x P(1)")
     Product(left=Curve(g=1), right=ProjSpace(n=1))
     """
     toks = _lex(text)
-    expr, i = _group(toks, 0, 0)
+    expr, i = _group(toks, 0, 0, {})
     kind, word, pos, _ = toks[i]
     if kind != "END":
         raise ParseError(f"unexpected {word!r} after expression", pos,
@@ -107,22 +111,23 @@ def parse_variety(text: str) -> VarietyExpr:
     return expr
 
 
-def _group(toks: list, i: int, depth: int) -> tuple:
-    """Read "expr" inside ``depth`` open parentheses from ``toks[i]``.  An
-    operand is a constructor or a group one level deeper; ``x`` extends the
-    product, ``+`` adds it to the union, and any other token ends the group:
-    (tree, that token's index) go back to the caller to check ")" or END."""
+def _group(toks: list, i: int, depth: int, atoms: dict) -> tuple:
+    """Read "expr" inside ``depth`` open parentheses from ``toks[i]``,
+    sharing the parse's ``atoms`` with ``_constructor``.  An operand is a
+    constructor or a group one level deeper; ``x`` extends the product,
+    ``+`` adds it to the union, and any other token ends the group: (tree,
+    that token's index) go back to the caller to check ")" or END."""
     union = prod = None
     while True:
         kind, _, pos, _ = toks[i]
         if kind == "NAME":
-            expr, i = _constructor(toks, i)
+            expr, i = _constructor(toks, i, atoms)
         elif kind != "(":
             raise _unexpected(toks[i], ("constructor name", "'('"))
         elif depth == _MAX_DEPTH:
             raise ParseError("parenthesis nesting too deep", pos)
         else:
-            expr, i = _group(toks, i + 1, depth + 1)
+            expr, i = _group(toks, i + 1, depth + 1, atoms)
             if toks[i][0] != ")":
                 raise _unexpected(toks[i], ("')'",))
             i += 1
@@ -138,7 +143,10 @@ def _group(toks: list, i: int, depth: int) -> tuple:
         prod, i = expr, i + 1
 
 
-def _constructor(toks: list, i: int) -> tuple:
+def _constructor(toks: list, i: int, atoms: dict) -> tuple:
+    """Read one ``NAME(args)`` from ``toks[i]``: the atom already in
+    ``atoms`` under the same class and arguments, or a new one stored
+    there once its class has accepted them."""
     _, name, pos, _ = toks[i]
     cls = _ATOMS.get(name)
     if cls is None:
@@ -162,4 +170,9 @@ def _constructor(toks: list, i: int) -> tuple:
             break
     if sep != ")":
         raise _unexpected(toks[i], ("')'",))
-    return cls._from_args(values, semi), i + 1
+    # ``semi`` is part of the key: "Gr(1;3)" must fail even after "Gr(1,3)".
+    key = (cls, semi, tuple(values))
+    atom = atoms.get(key)
+    if atom is None:
+        atom = atoms[key] = cls._from_args(values, semi)
+    return atom, i + 1

@@ -51,6 +51,8 @@ class LyubeznikTable(Value):
         object.__setattr__(self, "corner", corner)
 
     def __getitem__(self, key) -> int:
+        if type(key) is not tuple or len(key) != 2:
+            raise TypeError(f"a table index is a pair (i, j), got {key!r}")
         i, j = key
         if type(i) is not int or type(j) is not int:
             raise TypeError(f"table indices must be plain ints, got {key!r}")

@@ -296,7 +296,8 @@ def render(expr: VarietyExpr) -> str:
 
     The product operator binds tighter than the union operator and both
     associate to the left, so parentheses appear only where the shape
-    demands them.
+    demands them.  Each distinct atom object is written once per call and
+    its text reused wherever the tree holds it again.
 
     >>> render(Product(Curve(1), ProjSpace(1)))
     'Curve(1) x P(1)'
@@ -307,12 +308,17 @@ def render(expr: VarietyExpr) -> str:
     """
     parts = []
     stack = [expr]  # nodes still to write and literal strings, last one first
+    texts = {}  # each atom's text by id; the tree keeps every atom alive
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
         elif isinstance(item, Atom):
-            parts.append(item.text())
+            key = id(item)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = item.text()
+            parts.append(text)
         elif isinstance(item, Product):
             # A union operand of a product, and a right operand that is not
             # an atom, need parentheses.  Pushed right first, so that the

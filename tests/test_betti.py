@@ -31,9 +31,10 @@ from lyubeznik import (
     check_lefschetz_admissible,
     euler_char_ci,
     parse_variety,
+    render,
 )
 from lyubeznik.cli import main
-from lyubeznik.variety import Atom
+from lyubeznik.variety import Atom, _from_postorder, postorder
 
 # The module itself: the package's ``betti`` attribute is the function.
 betti_module = importlib.import_module("lyubeznik.betti")
@@ -553,6 +554,58 @@ def test_betti_builds_no_atom(monkeypatch):
     assert built == []
     Hypersurface(2, 3)
     assert built == ["Hypersurface"]
+
+
+# --- shared atoms against a tree of distinct atom objects -------------------
+
+def _unshared(expr):
+    """An equal tree in which every atom is its own object.  ``deepcopy``
+    would keep the sharing, so each atom is built again from its fields."""
+    return _from_postorder([item if isinstance(item, type) else type(item)(*item._key())
+                            for item in postorder(expr)])
+
+
+def _long_chains():
+    dim2 = ["P(2)", "Ab(2)", "Hyp(3,4)", "CI(4; 2,2)", "CI(5; 2,3,3)", "Gr(1,3)"]
+    dim1 = ["P(1)", "Curve(2)", "Hyp(2,3)", "CI(3; 2,2)", "Ab(1)"]
+    unions = [dim2[i % len(dim2)] for i in range(300)]
+    factors = [dim1[i % len(dim1)] for i in range(64)]
+
+    def right_nested(op, items):
+        head = "".join([f"{item} {op} (" for item in items[:-2]])
+        return f"{head}{items[-2]} {op} {items[-1]}" + ")" * (len(items) - 2)
+
+    return [" + ".join(unions), " x ".join(factors), right_nested("+", unions[:150]),
+            right_nested("x", factors), " + ".join([" x ".join(factors[:8])] * 40)]
+
+
+def test_shared_atoms_match_distinct_atoms(monkeypatch):
+    # The walk expands each atom object once and render writes it once:
+    # a parsed tree, whose equal atoms are one object, gives the vector and
+    # the text of an equal tree whose atoms are all distinct, and calls
+    # euler_char_ci once per distinct Hyp or CI atom.
+    calls = []
+    monkeypatch.setattr(betti_module, "euler_char_ci",
+                        lambda atom: calls.append(atom) or euler_char_ci(atom))
+    texts = [render(e) for e in corpus() + corpus(max_dim=64)] + _long_chains()
+    written = expanded = 0
+    for text in texts:
+        shared = parse_variety(text)
+        unshared = _unshared(shared)
+        atoms = [item for item in postorder(unshared) if not isinstance(item, type)]
+        assert len({id(atom) for atom in atoms}) == len(atoms)
+        complete = [atom for atom in atoms
+                    if isinstance(atom, (Hypersurface, CompleteIntersection))]
+        calls.clear()
+        vec = betti(shared)
+        assert len(calls) == len(set(complete)), text
+        expanded += len(calls)
+        calls.clear()
+        assert betti(unshared) == vec, text
+        assert len(calls) == len(complete), text
+        written += len(calls)
+        assert render(shared) == render(unshared) == text
+    assert expanded < written
 
 
 @pytest.mark.parametrize("text, chi, err", [

@@ -32,6 +32,7 @@ from lyubeznik import (
     render,
 )
 from lyubeznik.parser import _ATOMS, _MAX_DEPTH, _MAX_LITERAL_DIGITS
+from lyubeznik.variety import postorder
 
 
 def test_parse_atoms():
@@ -183,6 +184,27 @@ def test_long_union_chain_round_trips():
     expr = parse_variety(text)
     assert dimension(expr) == 1
     assert render(expr) == text
+
+
+def test_equal_atoms_are_shared_within_one_parse_only():
+    expr = parse_variety("P(1) + P(1)")
+    assert expr.left is expr.right
+    text = "Hyp(3,2) x CI(4; 2,2) + (Hyp(3,2) x CI(4; 2,2)) + P(2) x Ab(2)"
+    tree = parse_variety(text)
+    left, right = tree.left.left, tree.left.right
+    assert left.left is right.left and left.right is right.right
+    assert tree.right.left is not tree.right.right  # same numbers, another class
+    # Nothing outlives the call: a second parse, while the first tree is
+    # still alive, builds its own atoms.
+    first, second = ({id(item) for item in postorder(t) if not isinstance(item, type)}
+                     for t in (tree, parse_variety(text)))
+    assert len(first) == 4 and first.isdisjoint(second)
+    # The ";" is part of an atom's identity: a form its class refuses stays
+    # refused after an accepted atom with the same numbers.
+    with pytest.raises(SemanticError, match="does not take ';'"):
+        parse_variety("Gr(1,3) + Gr(1;3)")
+    with pytest.raises(SemanticError, match="takes the form"):
+        parse_variety("CI(3; 2) + CI(3, 2)")
 
 
 # --- error bytes ------------------------------------------------------------

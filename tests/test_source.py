@@ -34,6 +34,26 @@ def test_no_tuple_grown_from_an_unsized_iterator(source):
     assert offenders == []
 
 
+# The decorators of ``functools`` that keep results between calls.
+_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+@pytest.mark.parametrize("source", _SOURCES, ids=[p.name for p in _SOURCES])
+def test_no_cache_outlives_a_call(source):
+    """Each call shares equal atoms within itself only.  A ``functools``
+    cache would hand one call's results to the next, so repeated calls
+    would time a lookup, and it would keep every argument alive; neither
+    an import of one from ``functools`` nor an attribute of that name may
+    appear."""
+    offenders = [
+        f"{source.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(alias.name in _CACHES for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr in _CACHES)]
+    assert offenders == []
+
+
 # ``__init__.py`` imports the package's API, which it does not use itself.
 _MODULES = [p for p in _SOURCES if p.name != "__init__.py"]
 

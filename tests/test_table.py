@@ -1,5 +1,7 @@
 """Table construction: golden cases, structural invariants, rejection."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -134,6 +136,11 @@ def test_indexing_outside_the_stored_range():
     # truncated, read as zero or read as 0 or 1.
     for key in ((1.5, 0), (True, 3), (2.0, 3), (0, False), (3, 3.0)):
         with pytest.raises(TypeError):
+            table[key]
+    # A key that is not a pair is refused by name, not unpacked.
+    for key in ((1, 2, 3), (1,), 5, (), [1, 2]):
+        with pytest.raises(TypeError, match=r"a table index is a pair \(i, j\), got "
+                           + re.escape(repr(key))):
             table[key]
 
 
