@@ -6,8 +6,8 @@ Subcommands:
     oracle <expr>    exact-sequence dimensions at the cone vertex
     graph <file>     corner entry from a component-intersection JSON file
 
-Exit codes: 0 success, 1 user error, 2 internal failure (the two routes
-disagree, or an unexpected exception).
+Exit codes: 0 success, 1 user error (running out of memory included),
+2 internal failure (the two routes disagree, or an unexpected exception).
 Output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -269,6 +269,12 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ParseError, SemanticError, GraphError, _UserError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # A raised --max-dim admits vectors that need more memory than there
+        # is: the size of the request, which the user sets, not a bug.
+        print("error: out of memory for a variety this large; "
+              "a lower --max-dim refuses it up front", file=sys.stderr)
         return 1
     except (AdmissibilityError, InternalConsistencyError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

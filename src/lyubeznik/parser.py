@@ -21,6 +21,16 @@ once and shared by every place that writes them.  Every input either
 yields a valid tree or raises ``ParseError`` (with the offset and the
 tokens that would have been accepted) or ``SemanticError``; a bad
 character is reported before any syntax error.
+
+Two paths read a text.  The scanner (``_scan``) reads it in place, with
+no token list: it steps over whitespace, ``x``, ``+`` and parentheses
+itself, and takes each constructor as its span up to the next ``)``, so
+a span already met in the same text is its atom in one dictionary
+lookup.  At the first character it does not accept, or the first value
+an atom class or a union refuses, it gives up, and the token path
+(``_lex``, then ``_group``) reads the whole text again.  The token path
+is the only one that reports errors, so every message, offset and the
+order of errors come from one place.
 """
 
 from .variety import Atom, DisjointUnion, Product, VarietyExpr
@@ -96,12 +106,20 @@ _MAX_DEPTH = 200
 def parse_variety(text: str) -> VarietyExpr:
     """Parse ``text`` into a variety expression.
 
-    Equal atoms within ``text`` are one object, built and validated once;
-    no atom is shared with another call's tree.
+    Equal atoms within ``text`` are one object, built and validated once,
+    and a constructor span written again is read once per call; no atom is
+    shared with another call's tree.  Input the scanner does not accept
+    goes to the token path, which raises the error.
 
     >>> parse_variety("Curve(1) x P(1)")
     Product(left=Curve(g=1), right=ProjSpace(n=1))
     """
+    try:
+        found = _scan(text, 0, 0, {})
+    except ValueError:  # an atom or a union refused its operands
+        found = None
+    if found is not None and found[1] == len(text):
+        return found[0]
     toks = _lex(text)
     expr, i = _group(toks, 0, 0, {})
     kind, word, pos, _ = toks[i]
@@ -109,6 +127,77 @@ def parse_variety(text: str) -> VarietyExpr:
         raise ParseError(f"unexpected {word!r} after expression", pos,
                          ("'x'", "'+'", "end of input"))
     return expr
+
+
+# The ASCII characters ``str.isspace`` accepts; the scanner steps over them
+# between operands and leaves any other whitespace to the token path.
+_SPACES = frozenset(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")
+
+
+def _scan(text: str, i: int, depth: int, atoms: dict):
+    """Read "expr" inside ``depth`` open parentheses from ``text[i]``, as
+    ``_group`` reads it from tokens, sharing the call's ``atoms`` with
+    ``_span_atom``: (tree, the index of the first character after it that
+    is neither whitespace nor an operator), or None where the text leaves
+    the accepted path.  An operand is a group one level deeper or a
+    constructor, read as its span up to the next ")"."""
+    end = len(text)
+    union = prod = None
+    while True:
+        while i < end and text[i] in _SPACES:
+            i += 1
+        if i < end and text[i] == "(":
+            if depth == _MAX_DEPTH:
+                return None
+            found = _scan(text, i + 1, depth + 1, atoms)
+            if found is None:
+                return None
+            expr, i = found
+            if i == end or text[i] != ")":
+                return None
+            i += 1
+        else:
+            close = text.find(")", i) + 1
+            if not close:
+                return None
+            span = text[i:close]
+            expr = atoms.get(span)
+            if expr is None:
+                expr = _span_atom(span, atoms)
+                if expr is None:
+                    return None
+            i = close
+        if prod is not None:
+            expr = Product(prod, expr)
+        while i < end and text[i] in _SPACES:
+            i += 1
+        kind = text[i] if i < end else ""
+        if kind != "x":
+            if union is not None:
+                expr = DisjointUnion(union, expr)
+            if kind != "+":
+                return expr, i
+            union, expr = expr, None  # the next operand starts a product
+        prod, i = expr, i + 1
+
+
+def _span_atom(span: str, atoms: dict):
+    """The atom that ``span``, one ``NAME(args)`` up to its ")", writes,
+    stored in ``atoms`` under the span itself; or None where the span is
+    not one constructor whose arguments the token path reads alike."""
+    name, paren, args = span[:-1].partition("(")
+    cls = _ATOMS.get(name.rstrip())
+    if cls is None or not paren:
+        return None
+    first, semi, rest = args.partition(";")
+    values = []
+    for arg in (first, *rest.split(",")) if semi else first.split(","):
+        arg = arg.strip()  # the whitespace str.isspace accepts, as _lex skips it
+        if not (arg.isascii() and arg.isdigit()) or len(arg) > _MAX_LITERAL_DIGITS:
+            return None
+        values.append(int(arg))
+    atom = atoms[span] = _shared(atoms, cls, values, bool(semi))
+    return atom
 
 
 def _group(toks: list, i: int, depth: int, atoms: dict) -> tuple:
@@ -144,9 +233,8 @@ def _group(toks: list, i: int, depth: int, atoms: dict) -> tuple:
 
 
 def _constructor(toks: list, i: int, atoms: dict) -> tuple:
-    """Read one ``NAME(args)`` from ``toks[i]``: the atom already in
-    ``atoms`` under the same class and arguments, or a new one stored
-    there once its class has accepted them."""
+    """Read one ``NAME(args)`` from ``toks[i]``: its atom, shared through
+    ``atoms`` by ``_shared``."""
     _, name, pos, _ = toks[i]
     cls = _ATOMS.get(name)
     if cls is None:
@@ -170,9 +258,16 @@ def _constructor(toks: list, i: int, atoms: dict) -> tuple:
             break
     if sep != ")":
         raise _unexpected(toks[i], ("')'",))
+    return _shared(atoms, cls, values, semi), i + 1
+
+
+def _shared(atoms: dict, cls: type, values: list, semi: bool):
+    """The atom in ``atoms`` under the same class and arguments, or a new
+    one stored there once its class has accepted them, so that ``P(1)``,
+    ``P( 1)`` and ``P(01)`` are one object."""
     # ``semi`` is part of the key: "Gr(1;3)" must fail even after "Gr(1,3)".
     key = (cls, semi, tuple(values))
     atom = atoms.get(key)
     if atom is None:
         atom = atoms[key] = cls._from_args(values, semi)
-    return atom, i + 1
+    return atom

@@ -571,6 +571,23 @@ def test_unexpected_exceptions_exit_two(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: broken on two lines\n"
 
 
+def test_out_of_memory_is_a_user_error():
+    # A child that caps only its own address space: a dimension that a raised
+    # --max-dim admits but the memory cannot hold exits 1, not 2.
+    src = Path(cli.__file__).parents[1]
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+             "from lyubeznik.cli import main\n"
+             "sys.exit(main(['compute', 'P(30000000)', '--max-dim', '30000000',"
+             " '--format', 'csv']))\n")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: out of memory for a variety this large; "
+        "a lower --max-dim refuses it up front\n")
+
+
 def _loaded_at_import(module, names):
     """Which of ``names`` a fresh ``python -S`` has loaded after importing
     ``module`` from this checkout."""

@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import importlib
 import json
 import random
 import string
@@ -205,6 +206,11 @@ def test_equal_atoms_are_shared_within_one_parse_only():
         parse_variety("Gr(1,3) + Gr(1;3)")
     with pytest.raises(SemanticError, match="takes the form"):
         parse_variety("CI(3; 2) + CI(3, 2)")
+    # Spans that differ only in whitespace or leading zeros are one atom.
+    for text in ["P(1) + P( 1) + P(01)", "CI(4; 2,2) + CI(4 ;2, 2)"]:
+        atoms = {id(item) for item in postorder(parse_variety(text))
+                 if not isinstance(item, type)}
+        assert len(atoms) == 1, text
 
 
 # --- error bytes ------------------------------------------------------------
@@ -510,13 +516,15 @@ def _assert_parsers_agree(text):
     assert _outcome(parse_variety, text) == reference, ascii(text[:200])
 
 
-# Grammar pieces, glued "x" forms, and characters on both sides of the
-# lexer's classes: Unicode letters, spaces and digits that are not ASCII,
-# and a lone surrogate.
+# Grammar pieces, glued "x" forms, characters on both sides of the
+# lexer's classes (Unicode letters, spaces and digits that are not ASCII,
+# and a lone surrogate), and the edges of the scanner's constructor spans:
+# whitespace before "(" or ";", a leading zero, a span with no ")".
 _PIECES = st.sampled_from([
     "P", "Gr", "Curve", "Ab", "Hyp", "CI", "x", "xx", "xP", "X", "ｘ", "é",
     "(", ")", ",", ";", "+", "0", "1", "2", "3", "12", " ", "\t", "\n",
     "P(", "Gr(2,", "CI(5;", "2)", "3,", "2;", "1))",
+    "P (", " ;", "( 1", "01", ")x", "CI(4; 2,",
     "　", "\x1c", "²", "٣", "Ⅻ", "%", "-", "\ud800",
 ])
 
@@ -535,9 +543,10 @@ def _near_grammatical(draw):
     parts = []
     for _ in range(draw(st.integers(1, 4))):
         if parts:
-            parts.append(draw(st.sampled_from(["+", " x ", "x", "(", ")", ") + ("])))
-        args = draw(st.lists(st.sampled_from(["0", "1", "2", "5"]), max_size=4))
-        seps = draw(st.lists(st.sampled_from([",", ";", " , "]),
+            parts.append(draw(st.sampled_from(["+", " x ", "x", "(", ")", ") + (",
+                                               ")x", "( "])))
+        args = draw(st.lists(st.sampled_from(["0", "1", "2", "5", "01"]), max_size=4))
+        seps = draw(st.lists(st.sampled_from([",", ";", " , ", " ;", "; "]),
                              min_size=len(args), max_size=len(args)))
         body = "".join(sep + arg for sep, arg in zip(seps, args))[1:]
         parts.append(draw(st.sampled_from([*_ATOMS, "Q", "("])) + "(" + body + ")")
@@ -566,3 +575,33 @@ def test_parser_matches_reference_on_long_chains(atoms, ops, seed, nesting):
                   rng.choice(_DIM_ONE_ATOMS)]
     text = "(" * nesting + "".join(parts) + ")" * nesting
     _assert_parsers_agree(text)
+
+
+def _chain(atoms, ops, seed, nesting):
+    """A chain built as test_parser_matches_reference_on_long_chains builds
+    its text."""
+    rng = random.Random(seed)
+    parts = [rng.choice(_DIM_ONE_ATOMS)]
+    for _ in range(atoms - 1):
+        parts += [rng.choice(["", " "]) + rng.choice(ops) + rng.choice(["", " "]),
+                  rng.choice(_DIM_ONE_ATOMS)]
+    return "(" * nesting + "".join(parts) + ")" * nesting
+
+
+def test_accepted_input_never_takes_the_token_path(monkeypatch):
+    # The token path re-reads a text from its start; valid input must stay
+    # on the scanner, or the time a repeated span saves is lost unseen.
+    module = importlib.import_module("lyubeznik.parser")
+    calls = []
+    lex = module._lex
+    monkeypatch.setattr(module, "_lex", lambda text: calls.append(text) or lex(text))
+    worst_cases = ["Gr(8,16)", "Ab(64)", "Hyp(65,10)", "CI(67; 2,3,4)"]
+    chains = [_chain(atoms, ops, seed, nesting)
+              for seed, atoms in enumerate([1, 2, 50, 300, 3000])
+              for ops in ["+", "x"] for nesting in [0, 199, 200]]
+    for text in [render(e) for e in corpus() + corpus(max_dim=64)] + worst_cases + chains:
+        parse_variety(text)
+    assert calls == []
+    with pytest.raises(ParseError):
+        parse_variety("P(1) +")
+    assert calls == ["P(1) +"]
