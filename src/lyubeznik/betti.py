@@ -87,7 +87,7 @@ class BettiVector(Value):
         return len(self.betti)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(b) for b in self.betti) + ")"
+        return "(" + ", ".join([str(b) for b in self.betti]) + ")"
 
 
 def check_lefschetz_admissible(b: BettiVector) -> None:

@@ -9,6 +9,10 @@ Subcommands:
 Exit codes: 0 success, 1 user error (running out of memory included),
 2 internal failure (the two routes disagree, or an unexpected exception).
 Output is deterministic: identical invocations produce identical bytes.
+Every part of a document is built before its first write, so stdout stays
+empty on exit 1 or 2.  Text and JSON documents share one string for the
+zeros of table rows 1..d and go out in slices of about 1 MiB, so memory
+grows with the dimension r, not with the document.
 """
 
 import argparse
@@ -31,6 +35,9 @@ MAX_INT_DIGITS = 4300
 _PRINTABLE_BOUND = 10 ** MAX_INT_DIGITS
 # graph refuses a longer component file before json holds it in memory.
 _MAX_GRAPH_CHARS = 1 << 22
+# Text and JSON documents are written in slices of about this many
+# characters, so a raised --max-dim holds one slice, not the document.
+_WRITE_BYTES = 1 << 20
 
 
 class _UserError(Exception):
@@ -43,26 +50,31 @@ def _opening_text(expr, vec, last: str) -> str:
     return f"expression: {render(expr)}\ndimension: {vec.dim}\n{last}\n"
 
 
-def _document_text(expr, vec, table: LyubeznikTable, verified: bool) -> str:
+def _document_text(expr, vec, table: LyubeznikTable, verified: bool):
+    """The parts of the text document, and the length of a table line."""
     d = table.dim_a
     top = [str(v) for v in table.first_row]
-    column = [str(v) for v in table.last_column()]
-    width = max(len(str(d)), *map(len, top), *map(len, column))
-    label = "i\\j"
-    label_width = max(len(label), len(str(d)))
-    header = " ".join(f"{j:>{width}}" for j in range(d + 1))
-    lines = [
-        f"verified: {'yes' if verified else 'skipped'}",
-        "",
-        f"{label:>{label_width}} | {header}",
-        "-" * (label_width + 3 + len(header)),
-        f"{0:>{label_width}} | " + " ".join(cell.rjust(width) for cell in top),
-    ]
-    # Rows 1..d hold d zeros and then their last-column cell.
-    zeros = " ".join(["0".rjust(width)] * d)
-    lines += [f"{i:>{label_width}} | {zeros} {cell:>{width}}"
-              for i, cell in enumerate(column, 1)]
-    return _opening_text(expr, vec, f"betti: {vec}") + "\n".join(lines) + "\n"
+    corner = str(table.corner)
+    indices = [str(j) for j in range(d + 1)]
+    width = max(len(indices[-1]), *map(len, top), len(corner))
+    label_width = max(len("i\\j"), len(indices[-1]))
+    cells = [cell.rjust(width) for cell in top]
+    opening = (_opening_text(expr, vec, f"betti: {vec}")
+               + f"verified: {'yes' if verified else 'skipped'}\n\n")
+    line = ("i\\j".rjust(label_width) + " | "
+            + " ".join([j.rjust(width) for j in indices]) + "\n")
+    # Rows 1..d are their label, one shared run of d zeros and their
+    # last-column cell: every part but the opening is at most a line.
+    rows = [" | " + " ".join(["0".rjust(width)] * d) + " "] * (3 * d)
+    rows[::3] = [i.rjust(label_width) for i in indices[1:]]
+    rows[2::3] = [cell + "\n" for cell in cells[:1:-1]] + [corner.rjust(width) + "\n"]
+    return [
+        opening,
+        line,
+        "-" * (len(line) - 1) + "\n",
+        "0".rjust(label_width) + " | " + " ".join(cells) + "\n",
+        *rows,
+    ], len(line)
 
 
 # The JSON writers lay values out exactly as json.dumps(..., indent=2) does.
@@ -74,39 +86,46 @@ def _json_array(items, depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
-def _json_ints(values, depth: int) -> str:
-    return _json_array([str(v) for v in values], depth)
-
-
-def _json_object(fields) -> str:
-    """The top-level object of (key, encoded value) pairs, plus a newline;
-    the keys are plain ASCII."""
-    return "{\n  " + ",\n  ".join(f'"{key}": {value}' for key, value in fields) + "\n}\n"
-
-
-def _opening_json(expr, vec) -> list:
-    """The (key, encoded value) pairs every JSON document opens with.
+def _opening_json(expr, vec) -> str:
+    """The top-level object up to the Betti vector, without its closing.
     ``render`` writes only ASCII letters, digits, spaces and "(),;+", so
     quoting the expression needs no escapes."""
-    return [("expr", '"' + render(expr) + '"'), ("dim", str(vec.dim)),
-            ("betti", _json_ints(vec.betti, 1))]
+    return (f'{{\n  "expr": "{render(expr)}",\n  "dim": {vec.dim},\n  "betti": '
+            + _json_array([str(v) for v in vec.betti], 1))
 
 
 # One (i, j, lambda) triple of the nonzero list, at depth 2.
 _JSON_TRIPLE = "[\n      %d,\n      %d,\n      %d\n    ]"
 
 
-def _document_json(expr, vec, table: LyubeznikTable, verified: bool) -> str:
-    # Rows 1..d of the table: d zeros and then their last-column cell.
+def _document_json(expr, vec, table: LyubeznikTable, verified: bool):
+    """The parts of the JSON document, and the length of its longest table
+    row after the first."""
+    top = [str(v) for v in table.first_row]
+    # Rows 1..d of the table are one shared run of d zeros, each closed by
+    # its last-column cell.
     pad = "\n" + "  " * 3
-    zeros = "[" + pad + ("," + pad).join(["0"] * table.dim_a) + "," + pad
-    rows = [_json_ints(table.first_row, 2)]
-    rows += [zeros + str(v) + "\n    ]" for v in table.last_column()]
-    return _json_object(_opening_json(expr, vec) + [
-        ("table", _json_array(rows, 1)),
-        ("nonzero", _json_array([_JSON_TRIPLE % e for e in table.nonzero()], 1)),
-        ("verified", "true" if verified else "false"),
-    ])
+    rows = [",\n    [" + pad + ("," + pad).join(["0"] * table.dim_a) + "," + pad] * (
+        2 * table.dim_a)
+    cells = [cell + "\n    ]" for cell in top[:1:-1] + [str(table.corner)]]
+    rows[1::2] = cells
+    return [
+        _opening_json(expr, vec) + ',\n  "table": [\n    ' + _json_array(top, 2),
+        *rows,
+        '\n  ],\n  "nonzero": '
+        + _json_array([_JSON_TRIPLE % e for e in table.nonzero()], 1)
+        + f',\n  "verified": {"true" if verified else "false"}\n}}\n',
+    ], len(rows[0]) + max(map(len, cells))
+
+
+def _write_parts(out, parts, row: int) -> None:
+    """Write the concatenated ``parts`` in slices of _WRITE_BYTES // ``row``
+    parts, at least one.  No part but the first and the last is longer than
+    ``row``, so a slice holds at most _WRITE_BYTES characters besides those
+    two."""
+    step = max(1, _WRITE_BYTES // row)
+    for start in range(0, len(parts), step):
+        out.write("".join(parts[start:start + step]))
 
 
 def _csv_text(header: str, rows) -> str:
@@ -149,10 +168,9 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
         verified = True
     if fmt == "csv":
         out.write(_csv_text("i,j,lambda\n", table.nonzero()))
-    elif fmt == "json":
-        out.write(_document_json(expr, vec, table, verified))
     else:
-        out.write(_document_text(expr, vec, table, verified))
+        writer = _document_json if fmt == "json" else _document_text
+        _write_parts(out, *writer(expr, vec, table, verified))
     return 0
 
 
@@ -162,7 +180,7 @@ def cmd_betti(expr_text: str, fmt: str = "text", out=None,
     out = out if out is not None else sys.stdout
     expr, vec = _parse_bounded(expr_text, max_dim)
     if fmt == "json":
-        out.write(_json_object(_opening_json(expr, vec)))
+        out.write(_opening_json(expr, vec) + "\n}\n")
     elif fmt == "csv":
         out.write(_csv_text("j,beta\n", enumerate(vec)))
     else:

@@ -1,6 +1,8 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import csv
+import hashlib
+import importlib
 import io
 import json
 import os
@@ -13,7 +15,17 @@ from pathlib import Path
 import pytest
 
 import lyubeznik.cli as cli
+from corpus import corpus
+from lyubeznik import (
+    InternalConsistencyError,
+    ParseError,
+    betti,
+    lyubeznik_table,
+    parse_variety,
+    render,
+)
 from lyubeznik.cli import main
+from test_output_bytes import WORST_CASES, reference_outputs
 
 
 def run(argv, capsys):
@@ -95,6 +107,69 @@ def test_determinism_within_process(capsys):
     _, first, _ = run(["compute", "Gr(2,5)", "--format", "json"], capsys)
     _, second, _ = run(["compute", "Gr(2,5)", "--format", "json"], capsys)
     assert first == second
+
+
+class _RecordingSink:
+    """An ``out`` that keeps every write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("text", ["P(700)", "Ab(12) x P(600)"])
+def test_large_documents_are_written_in_bounded_slices(text):
+    # Past a raised --max-dim a document goes out in several writes, none
+    # longer than the budget plus the document's longest part, and the
+    # writes add up to the dense reference.  The step between writes comes
+    # from the row length, which bounds every part but the first and last.
+    expr = parse_variety(text)
+    vec = betti(expr)
+    table = lyubeznik_table(vec)
+    for verify in (True, False):
+        expected = reference_outputs(text, verify)
+        for fmt, document in (("text", cli._document_text), ("json", cli._document_json)):
+            sink = _RecordingSink()
+            assert cli.cmd_compute(text, fmt, verify, max_dim=vec.dim, out=sink) == 0
+            assert "".join(sink.writes) == expected[fmt], (fmt, verify)
+            parts, row = document(expr, vec, table, verify)
+            assert max(map(len, parts[1:-1])) <= row
+            assert len(sink.writes) >= 3
+            assert max(map(len, sink.writes)) <= cli._WRITE_BYTES + max(map(len, parts))
+
+
+def test_default_documents_are_one_write():
+    exprs = corpus() + corpus(max_dim=64) + [parse_variety(text) for text in WORST_CASES]
+    for text in map(render, exprs):
+        for fmt in ("text", "json", "csv"):
+            sink = _RecordingSink()
+            assert cli.cmd_compute(text, fmt, out=sink) == 0
+            assert len(sink.writes) == 1, (text, fmt)
+
+
+@pytest.mark.parametrize("text, max_dim, error", [
+    ("P(", 64, ParseError),
+    ("P(9)", 8, cli._UserError),
+    ("Hyp(65," + "9" * 2000 + ")", 64, cli._UserError),
+], ids=["syntax", "max-dim", "printable-bound"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_compute_writes_nothing_before_it_raises(text, max_dim, error, fmt):
+    sink = _RecordingSink()
+    with pytest.raises(error):
+        cli.cmd_compute(text, fmt, max_dim=max_dim, out=sink)
+    assert sink.writes == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_oracle_mismatch_writes_nothing(fmt, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("lyubeznik.cli"), "cone_local_derham_dims",
+                        lambda vec: (0,) * (vec.dim + 1))
+    sink = _RecordingSink()
+    with pytest.raises(InternalConsistencyError):
+        cli.cmd_compute("Ab(12) x P(600)", fmt, max_dim=612, out=sink)
+    assert sink.writes == []
 
 
 # --- betti and oracle -----------------------------------------------------------
@@ -586,6 +661,37 @@ def test_out_of_memory_is_a_user_error():
     assert (result.returncode, result.stdout, result.stderr) == (
         1, "", "error: out of memory for a variety this large; "
         "a lower --max-dim refuses it up front\n")
+
+
+def _run_child(argv, address_space=None):
+    """Exit code, stdout sha256 and stderr of ``main(argv)`` in a child,
+    which caps its own address space at ``address_space`` bytes if given.
+    Stdout is hashed as it arrives, so the test holds no document."""
+    src = Path(cli.__file__).parents[1]
+    probe = "import resource, sys\n"
+    if address_space:
+        probe += (f"resource.setrlimit(resource.RLIMIT_AS, "
+                  f"({address_space}, {address_space}))\n")
+    probe += f"from lyubeznik.cli import main\nsys.exit(main({argv!r}))\n"
+    digest = hashlib.sha256()
+    with subprocess.Popen([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        for chunk in iter(lambda: child.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+        err = child.stderr.read().decode()
+        code = child.wait(timeout=120)
+    return code, digest.hexdigest(), err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_large_documents_run_in_memory_that_grows_with_r(fmt):
+    # An 80 MB text or 144 MB JSON document, printed under a 128 MiB cap:
+    # only one slice of it is ever held.
+    argv = ["compute", "P(4000)", "--max-dim", "4000", "--format", fmt]
+    code, digest, err = _run_child(argv, address_space=128 << 20)
+    assert (code, err) == (0, "")
+    assert digest == _run_child(argv)[1]
 
 
 def _loaded_at_import(module, names):
