@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 user error (running out of memory included),
 2 internal failure (the two routes disagree, or an unexpected exception).
 Output is deterministic: identical invocations produce identical bytes.
 Every part of a document is built before its first write, so stdout stays
-empty on exit 1 or 2.  Text and JSON documents share one string for the
-zeros of table rows 1..d and go out in slices of about 1 MiB, so memory
-grows with the dimension r, not with the document.
+empty on exit 1 or 2 unless the write itself failed.  Text and JSON
+documents share one string for the zeros of table rows 1..d and go out in
+slices of about 1 MiB, so memory grows with the dimension r, not with the
+document.
 """
 
 import argparse
