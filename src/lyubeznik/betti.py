@@ -27,6 +27,7 @@ from .variety import (
     Abelian,
     CompleteIntersection,
     Curve,
+    DisjointUnion,
     Grassmannian,
     Hypersurface,
     Product,
@@ -74,8 +75,8 @@ class BettiVector(Value):
         for j, b in enumerate(betti):
             if type(b) is not int or b < 0:
                 raise ValueError(f"beta_{j} must be a nonnegative integer, got {b!r}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "betti", betti)
+        _set_vector_dim(self, dim)
+        _set_vector_betti(self, betti)
 
     def __getitem__(self, j: int) -> int:
         return self.betti[j]
@@ -88,6 +89,10 @@ class BettiVector(Value):
 
     def __str__(self) -> str:
         return "(" + ", ".join([str(b) for b in self.betti]) + ")"
+
+
+_set_vector_dim = BettiVector.dim.__set__
+_set_vector_betti = BettiVector.betti.__set__
 
 
 def check_lefschetz_admissible(b: BettiVector) -> None:
@@ -275,7 +280,9 @@ def betti(expr: VarietyExpr) -> BettiVector:
     The walk folds the tree's post-order, as ``_from_postorder`` folds it
     on nodes, and every subtree's value is a list of factor tuples whose
     product is its Poincare polynomial: an atom's is ``[vector]``, and a
-    product joins its operands' lists.  A union, like the root, needs the
+    product joins its operands' lists.  An item of the post-order that is
+    neither the class ``Product`` nor ``DisjointUnion`` is an atom, whose
+    numbers are read by its exact type.  A union, like the root, needs the
     vectors: the lone factor, or ``_product`` of a longer list, so a chain
     of factors is multiplied in one step, packed into integers where that
     is cheaper.  The tree already guarantees equal dimensions at each
@@ -293,22 +300,22 @@ def betti(expr: VarietyExpr) -> BettiVector:
     # whole walk, so no id is reused.
     vectors = {}
     for item in postorder(expr):
-        if not isinstance(item, type):
+        if item is Product:
+            right = values.pop()
+            values[-1] += right
+        elif item is DisjointUnion:
+            right = values.pop()
+            left = values[-1]
+            left = left[0] if len(left) == 1 else _product(left)
+            right = right[0] if len(right) == 1 else _product(right)
+            # A display allocates the sum once, at its size; tuple(map(...))
+            # would grow it in steps, which fragments the heap.
+            values[-1] = [(*map(add, left, right),)]
+        else:
             key = id(item)
             vector = vectors.get(key)
             if vector is None:
                 vector = vectors[key] = _ATOM_BETTI[type(item)](item)
             values.append([vector])
-            continue
-        right = values.pop()
-        left = values[-1]
-        if item is Product:
-            left += right
-            continue
-        left = left[0] if len(left) == 1 else _product(left)
-        right = right[0] if len(right) == 1 else _product(right)
-        # A display allocates the sum once, at its size; tuple(map(...))
-        # would grow it in steps, which fragments the heap.
-        values[-1] = [(*map(add, left, right),)]
     factors = values[0]
     return BettiVector(expr.dim, factors[0] if len(factors) == 1 else _product(factors))

@@ -16,7 +16,6 @@ slices of about 1 MiB, so memory grows with the dimension r, not with the
 document.
 """
 
-import argparse
 import codecs
 import io
 import sys
@@ -96,25 +95,38 @@ def _opening_json(expr, vec) -> str:
 
 
 # One (i, j, lambda) triple of the nonzero list, at depth 2.
-_JSON_TRIPLE = "[\n      %d,\n      %d,\n      %d\n    ]"
+_JSON_TRIPLE = "[\n      %s,\n      %s,\n      %s\n    ]"
+
+
+def _nonzero_triples(top: list, corner: str) -> list:
+    """The table's nonzero entries as (i, j, lambda) string triples in
+    row-major order, as ``LyubeznikTable.nonzero`` lists them, from the
+    first row's strings ``top`` and the corner's string: the last column
+    is ``top`` reversed, then ``corner``.  Every entry is nonnegative, so
+    a zero is the string "0"; no entry is converted to text again."""
+    d = str(len(top) - 1)
+    return ([("0", str(j), v) for j, v in enumerate(top) if v != "0"]
+            + [(str(i), d, v) for i, v in enumerate(top[:1:-1] + [corner], 1)
+               if v != "0"])
 
 
 def _document_json(expr, vec, table: LyubeznikTable, verified: bool):
     """The parts of the JSON document, and the length of its longest table
     row after the first."""
     top = [str(v) for v in table.first_row]
+    corner = str(table.corner)
     # Rows 1..d of the table are one shared run of d zeros, each closed by
     # its last-column cell.
     pad = "\n" + "  " * 3
     rows = [",\n    [" + pad + ("," + pad).join(["0"] * table.dim_a) + "," + pad] * (
         2 * table.dim_a)
-    cells = [cell + "\n    ]" for cell in top[:1:-1] + [str(table.corner)]]
+    cells = [cell + "\n    ]" for cell in top[:1:-1] + [corner]]
     rows[1::2] = cells
     return [
         _opening_json(expr, vec) + ',\n  "table": [\n    ' + _json_array(top, 2),
         *rows,
         '\n  ],\n  "nonzero": '
-        + _json_array([_JSON_TRIPLE % e for e in table.nonzero()], 1)
+        + _json_array([_JSON_TRIPLE % e for e in _nonzero_triples(top, corner)], 1)
         + f',\n  "verified": {"true" if verified else "false"}\n}}\n',
     ], len(rows[0]) + max(map(len, cells))
 
@@ -130,8 +142,8 @@ def _write_parts(out, parts, row: int) -> None:
 
 
 def _csv_text(header: str, rows) -> str:
-    """``header`` (a line of its own) and one line per row of integers."""
-    return header + "".join([",".join(map(str, row)) + "\n" for row in rows])
+    """``header`` (a line of its own) and one line per row of strings."""
+    return header + "".join([",".join(row) + "\n" for row in rows])
 
 
 def _parse_bounded(expr_text: str, max_dim: int):
@@ -168,7 +180,8 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
                 f"{dims} vs table first row {table.first_row[:r + 1]}")
         verified = True
     if fmt == "csv":
-        out.write(_csv_text("i,j,lambda\n", table.nonzero()))
+        top = [str(v) for v in table.first_row]
+        out.write(_csv_text("i,j,lambda\n", _nonzero_triples(top, str(table.corner))))
     else:
         writer = _document_json if fmt == "json" else _document_text
         _write_parts(out, *writer(expr, vec, table, verified))
@@ -183,7 +196,7 @@ def cmd_betti(expr_text: str, fmt: str = "text", out=None,
     if fmt == "json":
         out.write(_opening_json(expr, vec) + "\n}\n")
     elif fmt == "csv":
-        out.write(_csv_text("j,beta\n", enumerate(vec)))
+        out.write(_csv_text("j,beta\n", [(str(j), str(b)) for j, b in enumerate(vec)]))
     else:
         out.write(_opening_text(expr, vec, f"betti: {vec}"))
     return 0
@@ -237,7 +250,8 @@ def _add_max_dim(command) -> None:
                          f"(default {_DEFAULT_MAX_DIM})")
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
+def _build_arg_parser():
+    import argparse  # only main() parses arguments; cmd_* callers skip it
     parser = argparse.ArgumentParser(
         prog="lyubeznik",
         description="Exact Lyubeznik tables for cones over nonsingular "

@@ -58,8 +58,8 @@ class ComponentGraph(Value):
                 raise GraphError(f"duplicate intersection record for pair {pair}")
             seen.add(pair)
             records.append((a, b, dim))
-        object.__setattr__(self, "components", tuple(dims.items()))
-        object.__setattr__(self, "intersections", tuple(records))
+        _set_components(self, tuple(dims.items()))
+        _set_intersections(self, tuple(records))
 
     @classmethod
     def from_json_dict(cls, data) -> "ComponentGraph":
@@ -86,6 +86,10 @@ class ComponentGraph(Value):
                     f"intersection records need 'a', 'b' and 'dim': {item!r}")
         return cls([(item["name"], item["dim"]) for item in comp_items],
                    [(item["a"], item["b"], item["dim"]) for item in inter_items])
+
+
+_set_components = ComponentGraph.components.__set__
+_set_intersections = ComponentGraph.intersections.__set__
 
 
 def corner_from_graph(g: ComponentGraph) -> int:

@@ -46,9 +46,9 @@ class LyubeznikTable(Value):
         if type(corner) is not int or corner < 1:
             raise ValueError("the corner entry counts components and must be "
                              f"a positive integer, got {corner!r}")
-        object.__setattr__(self, "dim_a", dim_a)
-        object.__setattr__(self, "first_row", first_row)
-        object.__setattr__(self, "corner", corner)
+        _set_dim_a(self, dim_a)
+        _set_first_row(self, first_row)
+        _set_corner(self, corner)
 
     def __getitem__(self, key) -> int:
         if type(key) is not tuple or len(key) != 2:
@@ -77,6 +77,11 @@ class LyubeznikTable(Value):
         # generator would grow it in steps, which fragments the heap.
         return (*[(0, j, v) for j, v in enumerate(self.first_row) if v],
                 *[(i, d, v) for i, v in enumerate(self.last_column(), 1) if v])
+
+
+_set_dim_a = LyubeznikTable.dim_a.__set__
+_set_first_row = LyubeznikTable.first_row.__set__
+_set_corner = LyubeznikTable.corner.__set__
 
 
 def lyubeznik_table(b: BettiVector) -> LyubeznikTable:

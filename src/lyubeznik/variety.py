@@ -11,13 +11,25 @@ or any other number is refused, as it would render as text that is no
 expression.
 
 Every value class of the package derives from ``Value``, defined here
-because every other module imports this one.
+because every other module imports this one.  ``Value`` refuses every
+assignment, so each constructor stores its slots through that slot's own
+descriptor setter, bound once at module level after the class (such as
+``_set_dim = VarietyExpr.dim.__set__``): one call per slot, with no name
+looked up through the class hierarchy.
+
+The package treats classes exactly: ``Value.__eq__`` compares
+``type(...) is``, ``betti`` reads an atom's numbers from its exact type,
+and the tree walks (``postorder``, ``betti``, ``render``) tell a node's
+kind by ``type(node) is Product`` or ``is DisjointUnion``, every other
+node being an atom.  A subclass of a value class is therefore not
+supported.
 """
 
 
 class Value:
     """An immutable value whose state is its constructor arguments, named
-    once, in order, in ``fields`` (also its ``__slots__``).
+    once, in order, in ``fields`` (also the ``__slots__`` of the class
+    that declares them).
 
     Equality, hashing and pickling read ``_key()``: the constructor
     arguments, or for ``Product`` and ``DisjointUnion`` the tree's flat
@@ -81,6 +93,9 @@ class VarietyExpr(Value):
         return render(self)
 
 
+_set_dim = VarietyExpr.dim.__set__
+
+
 class Atom(VarietyExpr):
     """An atomic constructor ``name(a,b,...)``: the class attribute
     ``name`` is its syntax name and its fields are the arguments, in
@@ -115,8 +130,11 @@ class ProjSpace(Atom):
     def __init__(self, n: int):
         if type(n) is not int or not n >= 1:
             raise SemanticError(f"P(n) requires n >= 1, got n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", n)
+        _set_proj_n(self, n)
+        _set_dim(self, n)
+
+
+_set_proj_n = ProjSpace.n.__set__
 
 
 class Grassmannian(Atom):
@@ -128,9 +146,13 @@ class Grassmannian(Atom):
     def __init__(self, k: int, n: int):
         if type(k) is not int or type(n) is not int or not 0 < k < n:
             raise SemanticError(f"Gr(k,n) requires 0 < k < n, got k={k}, n={n}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", k * (n - k))
+        _set_gr_k(self, k)
+        _set_gr_n(self, n)
+        _set_dim(self, k * (n - k))
+
+
+_set_gr_k = Grassmannian.k.__set__
+_set_gr_n = Grassmannian.n.__set__
 
 
 class Curve(Atom):
@@ -142,8 +164,11 @@ class Curve(Atom):
     def __init__(self, g: int):
         if type(g) is not int or not g >= 0:
             raise SemanticError(f"Curve(g) requires g >= 0, got g={g}")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "dim", 1)
+        _set_curve_g(self, g)
+        _set_dim(self, 1)
+
+
+_set_curve_g = Curve.g.__set__
 
 
 class Abelian(Atom):
@@ -155,8 +180,11 @@ class Abelian(Atom):
     def __init__(self, g: int):
         if type(g) is not int or not g >= 1:
             raise SemanticError(f"Ab(g) requires g >= 1, got g={g}")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "dim", g)
+        _set_ab_g(self, g)
+        _set_dim(self, g)
+
+
+_set_ab_g = Abelian.g.__set__
 
 
 class Hypersurface(Atom):
@@ -170,14 +198,18 @@ class Hypersurface(Atom):
             raise SemanticError(f"Hyp(n,d) requires n >= 2, got n={n}")
         if type(d) is not int or not d >= 1:
             raise SemanticError(f"Hyp(n,d) requires d >= 1, got d={d}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "dim", n - 1)
+        _set_hyp_n(self, n)
+        _set_hyp_d(self, d)
+        _set_dim(self, n - 1)
 
     @property
     def degrees(self) -> tuple:
         """The multidegree ``(d,)``: a hypersurface is ``CI(n; d)``."""
         return (self.d,)
+
+
+_set_hyp_n = Hypersurface.n.__set__
+_set_hyp_d = Hypersurface.d.__set__
 
 
 class CompleteIntersection(Atom):
@@ -192,14 +224,15 @@ class CompleteIntersection(Atom):
         c = len(degrees)
         if not c >= 1:
             raise SemanticError("CI(n; ...) requires at least one degree")
-        if not all(type(d) is int and d >= 1 for d in degrees):
-            raise SemanticError(f"CI degrees must be integers >= 1, got {degrees}")
+        for d in degrees:
+            if type(d) is not int or d < 1:
+                raise SemanticError(f"CI degrees must be integers >= 1, got {degrees}")
         if type(n) is not int or not n - c >= 1:
             raise SemanticError(f"CI(n; d1,...,dc) requires dimension n - c >= 1, "
                                 f"got n={n}, c={c}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "dim", n - c)
+        _set_ci_n(self, n)
+        _set_ci_degrees(self, degrees)
+        _set_dim(self, n - c)
 
     def text(self) -> str:
         return f"CI({self.n}; {','.join(str(d) for d in self.degrees)})"
@@ -211,9 +244,15 @@ class CompleteIntersection(Atom):
         return cls(values[0], tuple(values[1:]))
 
 
+_set_ci_n = CompleteIntersection.n.__set__
+_set_ci_degrees = CompleteIntersection.degrees.__set__
+
+
 def postorder(expr: VarietyExpr) -> tuple:
     """The flat post-order of ``expr``, built without recursion: its
-    atoms, and the class of each join after its two operands.
+    atoms, and the class of each join after its two operands.  A node
+    whose exact class is ``Product`` or ``DisjointUnion`` is a join, and
+    every other node is an atom.
 
     >>> postorder(Product(Curve(1), ProjSpace(1)))
     (Curve(g=1), ProjSpace(n=1), <class 'lyubeznik.variety.Product'>)
@@ -221,18 +260,13 @@ def postorder(expr: VarietyExpr) -> tuple:
     items, stack = [], [expr]
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
-            items.append(node)
-        else:
-            items.append(type(node))
+        cls = type(node)
+        if cls is Product or cls is DisjointUnion:
+            items.append(cls)
             stack += (node.left, node.right)
+        else:
+            items.append(node)
     return tuple(reversed(items))
-
-
-def _reduce_join(self):
-    # Pickle and deepcopy a tree as its flat post-order, so that neither
-    # recurses once per level.
-    return _from_postorder, (postorder(self),)
 
 
 def _from_postorder(items):
@@ -248,34 +282,46 @@ def _from_postorder(items):
     return values[0]
 
 
-class Product(VarietyExpr):
+class _Join(VarietyExpr):
+    """The two operands of a product or a disjoint union."""
+
+    __slots__ = fields = ("left", "right")
+    _key = postorder
+
+    def __reduce__(self):
+        # Pickle and deepcopy a tree as its flat post-order, so that
+        # neither recurses once per level.
+        return _from_postorder, (postorder(self),)
+
+
+_set_left = _Join.left.__set__
+_set_right = _Join.right.__set__
+
+
+class Product(_Join):
     """Product of two varieties; dimensions add."""
 
-    __slots__ = fields = ("left", "right")
-    _key = postorder
-    __reduce__ = _reduce_join
+    __slots__ = ()
 
     def __init__(self, left: VarietyExpr, right: VarietyExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "dim", left.dim + right.dim)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_dim(self, left.dim + right.dim)
 
 
-class DisjointUnion(VarietyExpr):
+class DisjointUnion(_Join):
     """Disjoint union of two varieties of the same dimension."""
 
-    __slots__ = fields = ("left", "right")
-    _key = postorder
-    __reduce__ = _reduce_join
+    __slots__ = ()
 
     def __init__(self, left: VarietyExpr, right: VarietyExpr):
         dl, dr = left.dim, right.dim
         if dl != dr:
             raise DimensionMismatchError(
                 f"disjoint union requires equal dimensions, got {dl} and {dr}")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "dim", dl)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_dim(self, dl)
 
 
 def dimension(expr: VarietyExpr) -> int:
@@ -296,8 +342,9 @@ def render(expr: VarietyExpr) -> str:
 
     The product operator binds tighter than the union operator and both
     associate to the left, so parentheses appear only where the shape
-    demands them.  Each distinct atom object is written once per call and
-    its text reused wherever the tree holds it again.
+    demands them.  Each node's kind is read from its exact class.  Each
+    distinct atom object is written once per call and its text reused
+    wherever the tree holds it again.
 
     >>> render(Product(Curve(1), ProjSpace(1)))
     'Curve(1) x P(1)'
@@ -311,25 +358,27 @@ def render(expr: VarietyExpr) -> str:
     texts = {}  # each atom's text by id; the tree keeps every atom alive
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        cls = type(item)
+        if cls is str:
             parts.append(item)
-        elif isinstance(item, Atom):
+        elif cls is Product:
+            # A union operand of a product, and a right operand that is not
+            # an atom, need parentheses.  Pushed right first, so that the
+            # left operand is written first.
+            right, left = item.right, item.left
+            joined = type(right) is Product or type(right) is DisjointUnion
+            stack += (")", right, "(") if joined else (right,)
+            stack.append(" x ")
+            stack += (")", left, "(") if type(left) is DisjointUnion else (left,)
+        elif cls is DisjointUnion:
+            # A union as the right operand of a union needs parentheses.
+            right = item.right
+            stack += (")", right, "(") if type(right) is DisjointUnion else (right,)
+            stack += (" + ", item.left)
+        else:
             key = id(item)
             text = texts.get(key)
             if text is None:
                 text = texts[key] = item.text()
             parts.append(text)
-        elif isinstance(item, Product):
-            # A union operand of a product, and a right operand that is not
-            # an atom, need parentheses.  Pushed right first, so that the
-            # left operand is written first.
-            right, left = item.right, item.left
-            stack += (")", right, "(") if not isinstance(right, Atom) else (right,)
-            stack.append(" x ")
-            stack += (")", left, "(") if isinstance(left, DisjointUnion) else (left,)
-        else:
-            # A union as the right operand of a union needs parentheses.
-            right = item.right
-            stack += (")", right, "(") if isinstance(right, DisjointUnion) else (right,)
-            stack += (" + ", item.left)
     return "".join(parts)

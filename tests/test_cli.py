@@ -716,6 +716,13 @@ def test_startup_imports_stay_lean():
     assert _loaded_at_import("lyubeznik.cli", names) == "[]\n"
 
 
+def test_cli_import_loads_no_argparse():
+    # Only main() builds the argument parser, so callers of cmd_* and a
+    # bare import of the CLI module load neither argparse nor the gettext
+    # module it imports.
+    assert _loaded_at_import("lyubeznik.cli", ("argparse", "gettext")) == "[]\n"
+
+
 def test_library_import_loads_no_collections_or_re():
     # The parser lexes with a character loop and walks plain tuples, so
     # the library itself needs neither collections nor re.

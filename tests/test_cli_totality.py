@@ -135,6 +135,39 @@ def test_grammatical_expressions_never_exit_two(command, text):
     assert code in (0, 1), err
 
 
+class _HeadSink(io.TextIOBase):
+    """A stdout that keeps only the first ``_HEAD`` characters written to
+    it: a raised --max-dim admits text documents of hundreds of MB, such
+    as ``Ab(999)``'s 600 MB table, which the test need not hold."""
+
+    _HEAD = 1 << 10
+
+    def __init__(self):
+        self.head = ""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        if len(self.head) < self._HEAD:
+            self.head = (self.head + text[:self._HEAD])[:self._HEAD]
+        return len(text)
+
+
+@settings(max_examples=60, deadline=DEADLINE_MS)
+@given(_COMMANDS, st.sampled_from([200, 1000]),
+       st.one_of(chains(), sums_of_products(), huge_literals()))
+def test_grammatical_expressions_under_a_raised_max_dim(command, max_dim, text):
+    # Literals of three or four digits now reach the Betti and table code
+    # instead of the dimension guard: Ab(999) and Hyp(1000,4) are accepted.
+    out, err = _HeadSink(), io.StringIO()
+    argv = command + ["--max-dim", str(max_dim), "--", text]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert_total(code, out.head, err.getvalue())
+    assert code in (0, 1), err.getvalue()
+
+
 # --- component files for graph --------------------------------------------------
 
 _JSON_VALUES = st.recursive(

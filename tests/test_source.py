@@ -54,6 +54,20 @@ def test_no_cache_outlives_a_call(source):
     assert offenders == []
 
 
+@pytest.mark.parametrize("source", _SOURCES, ids=[p.name for p in _SOURCES])
+def test_values_set_slots_only_through_their_descriptors(source):
+    """Every value stores each slot through that slot's own descriptor
+    setter, bound once after its class.  ``object.__setattr__`` would be a
+    second construction mechanism, which looks the name up through the
+    class hierarchy on every call; it may not appear, called or not."""
+    offenders = [
+        f"{source.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert offenders == []
+
+
 # ``__init__.py`` imports the package's API, which it does not use itself.
 _MODULES = [p for p in _SOURCES if p.name != "__init__.py"]
 

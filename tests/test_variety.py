@@ -239,3 +239,21 @@ def test_value_behaviour(build, text):
     assert value == rebuilt
     assert pickle.loads(pickle.dumps(value)) == value
     assert copy.deepcopy(value) == value
+
+
+@pytest.mark.parametrize("build, text", _VALUES, ids=[t[:t.index("(")] for _, t in _VALUES])
+def test_every_slot_is_read_only(build, text):
+    # Constructors store their slots through the slots' own descriptors;
+    # from outside, every field and ``dim`` refuses assignment and
+    # deletion, and no instance has a ``__dict__`` to take a new name.
+    value = build()
+    names = [*value.fields, *(["dim"] if hasattr(value, "dim") else [])]
+    for name in names:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    with pytest.raises(TypeError):
+        vars(value)
