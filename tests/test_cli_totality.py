@@ -158,8 +158,9 @@ class _HeadSink(io.TextIOBase):
 @given(_COMMANDS, st.sampled_from([200, 1000]),
        st.one_of(chains(), sums_of_products(), huge_literals()))
 def test_grammatical_expressions_under_a_raised_max_dim(command, max_dim, text):
-    # Literals of three or four digits now reach the Betti and table code
-    # instead of the dimension guard: Ab(999) and Hyp(1000,4) are accepted.
+    # Under a raised bound, literals of three or four digits reach the
+    # Betti and table code instead of the dimension guard: Ab(999) and
+    # Hyp(1000,4) are accepted.
     out, err = _HeadSink(), io.StringIO()
     argv = command + ["--max-dim", str(max_dim), "--", text]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
