@@ -22,15 +22,17 @@ yields a valid tree or raises ``ParseError`` (with the offset and the
 tokens that would have been accepted) or ``SemanticError``; a bad
 character is reported before any syntax error.
 
-Two paths read a text.  The scanner (``_scan``) reads it in place, with
-no token list: it steps over whitespace, ``x``, ``+`` and parentheses
-itself, and takes each constructor as its span up to the next ``)``, so
-a span already met in the same text is its atom in one dictionary
-lookup.  At the first character it does not accept, or the first value
-an atom class or a union refuses, it gives up, and the token path
-(``_lex``, then ``_group``) reads the whole text again.  The token path
-is the only one that reports errors, so every message, offset and the
-order of errors come from one place.
+The grammar is written once, in the scanner (``_scan``), which reads
+the text in place with no token list.  It steps over whitespace, ``x``,
+``+`` and parentheses itself, and takes each constructor as its span up
+to the next ``)``, so a span already met in the same text is its atom
+in one dictionary lookup.  ``_lex`` runs only to report an error, once
+per failing text: where the scanner stops, it knows the offset and what
+it wanted there, and the error is raised from the token at that offset
+(``_constructor`` names what is wrong in a constructor span); where an
+atom class or a union refuses its operands, that error stands.  Either
+way the whole text is lexed first, so a bad character is reported
+before any other error.
 """
 
 from .variety import Atom, DisjointUnion, Product, VarietyExpr
@@ -97,6 +99,15 @@ def _unexpected(token: tuple, expected: tuple) -> ParseError:
     return ParseError(f"unexpected {got}", token[2], expected)
 
 
+class _Stop(Exception):
+    """The scanner's stop: ``(offset, expected)``, the tokens it would have
+    accepted there; an empty ``expected`` is a "(" beyond ``_MAX_DEPTH``."""
+
+
+_OPERAND = ("constructor name", "'('")
+_AFTER = ("'x'", "'+'", "end of input")
+
+
 _ATOMS = {cls.name: cls for cls in Atom.__subclasses__()}
 
 # The input's nesting bound; the descent takes one frame per open parenthesis.
@@ -108,68 +119,68 @@ def parse_variety(text: str) -> VarietyExpr:
 
     Equal atoms within ``text`` are one object, built and validated once,
     and a constructor span written again is read once per call; no atom is
-    shared with another call's tree.  Input the scanner does not accept
-    goes to the token path, which raises the error.
+    shared with another call's tree.  ``_lex`` runs only on text the
+    scanner stops on or an atom or a union refuses, to report the error.
 
     >>> parse_variety("Curve(1) x P(1)")
     Product(left=Curve(g=1), right=ProjSpace(n=1))
     """
     try:
-        found = _scan(text, 0, 0, {})
+        expr, i = _scan(text, 0, 0, {})
+    except _Stop as stop:
+        i, expected = stop.args
     except ValueError:  # an atom or a union refused its operands
-        found = None
-    if found is not None and found[1] == len(text):
-        return found[0]
+        _lex(text)  # a bad character anywhere is reported first
+        raise
+    else:
+        if i == len(text):
+            return expr
+        expected = _AFTER
     toks = _lex(text)
-    expr, i = _group(toks, 0, 0, {})
-    kind, word, pos, _ = toks[i]
-    if kind != "END":
-        raise ParseError(f"unexpected {word!r} after expression", pos,
-                         ("'x'", "'+'", "end of input"))
-    return expr
+    k = 0
+    while toks[k][2] < i:
+        k += 1
+    kind, word, pos, _ = toks[k]
+    if not expected:
+        raise ParseError("parenthesis nesting too deep", pos)
+    if expected is _AFTER:
+        raise ParseError(f"unexpected {word!r} after expression", pos, _AFTER)
+    if expected is _OPERAND and kind == "NAME":
+        _constructor(toks, k)  # raises: the scanner refused this span
+    raise _unexpected(toks[k], expected)
 
 
-# The ASCII characters ``str.isspace`` accepts; the scanner steps over them
-# between operands and leaves any other whitespace to the token path.
-_SPACES = frozenset(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")
-
-
-def _scan(text: str, i: int, depth: int, atoms: dict):
-    """Read "expr" inside ``depth`` open parentheses from ``text[i]``, as
-    ``_group`` reads it from tokens, sharing the call's ``atoms`` with
-    ``_span_atom``: (tree, the index of the first character after it that
-    is neither whitespace nor an operator), or None where the text leaves
-    the accepted path.  An operand is a group one level deeper or a
-    constructor, read as its span up to the next ")"."""
+def _scan(text: str, i: int, depth: int, atoms: dict) -> tuple:
+    """Read "expr" inside ``depth`` open parentheses from ``text[i]``,
+    sharing the call's ``atoms`` with ``_span_atom``: (tree, the index of
+    the first character after it that is neither whitespace nor an
+    operator), or ``_Stop`` at the first character the grammar does not
+    accept.  An operand is a group one level deeper or a constructor,
+    read as its span up to the next ")"."""
     end = len(text)
     union = prod = None
     while True:
-        while i < end and text[i] in _SPACES:
+        while i < end and text[i].isspace():
             i += 1
         if i < end and text[i] == "(":
             if depth == _MAX_DEPTH:
-                return None
-            found = _scan(text, i + 1, depth + 1, atoms)
-            if found is None:
-                return None
-            expr, i = found
+                raise _Stop(i, ())
+            expr, i = _scan(text, i + 1, depth + 1, atoms)
             if i == end or text[i] != ")":
-                return None
+                raise _Stop(i, ("')'",))
             i += 1
         else:
-            close = text.find(")", i) + 1
-            if not close:
-                return None
+            close = text.find(")", i) + 1  # 0 with no ")": span "", refused
             span = text[i:close]
             expr = atoms.get(span)
             if expr is None:
                 expr = _span_atom(span, atoms)
                 if expr is None:
-                    return None
+                    raise _Stop(i, _OPERAND)
             i = close
         if prod is not None:
             expr = Product(prod, expr)
-        while i < end and text[i] in _SPACES:
+        while i < end and text[i].isspace():
             i += 1
         kind = text[i] if i < end else ""
         if kind != "x":
@@ -184,7 +195,8 @@ def _scan(text: str, i: int, depth: int, atoms: dict):
 def _span_atom(span: str, atoms: dict):
     """The atom that ``span``, one ``NAME(args)`` up to its ")", writes,
     stored in ``atoms`` under the span itself; or None where the span is
-    not one constructor whose arguments the token path reads alike."""
+    not one well-formed constructor.  Equal arguments are one atom, so
+    ``P(1)``, ``P( 1)`` and ``P(01)`` are one object."""
     name, paren, args = span[:-1].partition("(")
     cls = _ATOMS.get(name.rstrip())
     if cls is None or not paren:
@@ -196,78 +208,32 @@ def _span_atom(span: str, atoms: dict):
         if not (arg.isascii() and arg.isdigit()) or len(arg) > _MAX_LITERAL_DIGITS:
             return None
         values.append(int(arg))
-    atom = atoms[span] = _shared(atoms, cls, values, bool(semi))
+    # ``semi`` is part of the key: "Gr(1;3)" must fail even after "Gr(1,3)".
+    key = (cls, bool(semi), tuple(values))
+    atom = atoms.get(key)
+    if atom is None:
+        atom = atoms[key] = cls._from_args(values, bool(semi))
+    atoms[span] = atom
     return atom
 
 
-def _group(toks: list, i: int, depth: int, atoms: dict) -> tuple:
-    """Read "expr" inside ``depth`` open parentheses from ``toks[i]``,
-    sharing the parse's ``atoms`` with ``_constructor``.  An operand is a
-    constructor or a group one level deeper; ``x`` extends the product,
-    ``+`` adds it to the union, and any other token ends the group: (tree,
-    that token's index) go back to the caller to check ")" or END."""
-    union = prod = None
-    while True:
-        kind, _, pos, _ = toks[i]
-        if kind == "NAME":
-            expr, i = _constructor(toks, i, atoms)
-        elif kind != "(":
-            raise _unexpected(toks[i], ("constructor name", "'('"))
-        elif depth == _MAX_DEPTH:
-            raise ParseError("parenthesis nesting too deep", pos)
-        else:
-            expr, i = _group(toks, i + 1, depth + 1, atoms)
-            if toks[i][0] != ")":
-                raise _unexpected(toks[i], ("')'",))
-            i += 1
-        if prod is not None:
-            expr = Product(prod, expr)
-        kind = toks[i][0]
-        if kind != "x":
-            if union is not None:
-                expr = DisjointUnion(union, expr)
-            if kind != "+":
-                return expr, i
-            union, expr = expr, None  # the next operand starts a product
-        prod, i = expr, i + 1
-
-
-def _constructor(toks: list, i: int, atoms: dict) -> tuple:
-    """Read one ``NAME(args)`` from ``toks[i]``: its atom, shared through
-    ``atoms`` by ``_shared``."""
+def _constructor(toks: list, i: int) -> None:
+    """Raise the first syntax error in the ``NAME(args)`` at ``toks[i]``,
+    a span the scanner refused."""
     _, name, pos, _ = toks[i]
-    cls = _ATOMS.get(name)
-    if cls is None:
+    if name not in _ATOMS:
         raise ParseError(f"unknown constructor {name!r}", pos, tuple(_ATOMS))
     i += 1
     if toks[i][0] != "(":
         raise _unexpected(toks[i], ("'('",))
-    # A ";" may follow the first integer only; the atom class decides.
-    values, semi = [], False
+    seps = (";", ",")  # a ";" may follow the first integer only
     while True:
         i += 1
-        kind, _, _, value = toks[i]
-        if kind != "INT":
+        if toks[i][0] != "INT":
             raise _unexpected(toks[i], ("integer",))
-        values.append(value)
         i += 1
-        sep = toks[i][0]
-        if sep == ";" and len(values) == 1:
-            semi = True
-        elif sep != ",":
+        if toks[i][0] not in seps:
             break
-    if sep != ")":
+        seps = (",",)
+    if toks[i][0] != ")":
         raise _unexpected(toks[i], ("')'",))
-    return _shared(atoms, cls, values, semi), i + 1
-
-
-def _shared(atoms: dict, cls: type, values: list, semi: bool):
-    """The atom in ``atoms`` under the same class and arguments, or a new
-    one stored there once its class has accepted them, so that ``P(1)``,
-    ``P( 1)`` and ``P(01)`` are one object."""
-    # ``semi`` is part of the key: "Gr(1;3)" must fail even after "Gr(1,3)".
-    key = (cls, semi, tuple(values))
-    atom = atoms.get(key)
-    if atom is None:
-        atom = atoms[key] = cls._from_args(values, semi)
-    return atom

@@ -266,6 +266,17 @@ _ERROR_BYTES = [
      "constructor name or '(')", 0, _ATOM_START),
     ("P(1) xx P(1)", "unexpected 'x' (offset 6, expected "
      "constructor name or '(')", 6, _ATOM_START),
+    # the scanner's stops: an unknown name after an operator or inside a
+    # group, an operand after non-ASCII whitespace, and an open group at
+    # the end of the text
+    ("P(1) + Q(2)", "unknown constructor 'Q' (offset 7, expected "
+     "P or Gr or Curve or Ab or Hyp or CI)", 7, _NAMES),
+    ("P(1) x (P(1) + Q)", "unknown constructor 'Q' (offset 15, expected "
+     "P or Gr or Curve or Ab or Hyp or CI)", 15, _NAMES),
+    ("P(1)\u3000P(2)", "unexpected 'P' after expression (offset 5, expected "
+     "'x' or '+' or end of input)", 5, _AFTER),
+    ("(P(1) + P(2) x", "unexpected end of input (offset 14, expected "
+     "constructor name or '(')", 14, _ATOM_START),
 ]
 
 
@@ -278,7 +289,7 @@ def test_parse_error_bytes(text, message, position, expected):
         message, position, expected)
 
 
-@pytest.mark.parametrize("text,message", [
+_SEMANTIC_BYTES = [
     ("CI(3, 4)", "CI takes the form CI(n; d1,...,dc)"),
     ("CI(3)", "CI takes the form CI(n; d1,...,dc)"),
     ("P(2; 3)", "P does not take ';' arguments (only CI does)"),
@@ -287,7 +298,11 @@ def test_parse_error_bytes(text, message, position, expected):
     # semantic errors are raised in source order, before later syntax errors
     ("P(2,3) x Gr(2) )", "P takes 1 argument(s), got 2"),
     ("P(1) + P(2) x Gr(2)", "Gr takes 2 argument(s), got 1"),
-])
+    ("P(1) + P(2) )", "disjoint union requires equal dimensions, got 1 and 2"),
+]
+
+
+@pytest.mark.parametrize("text,message", _SEMANTIC_BYTES)
 def test_semantic_error_bytes(text, message):
     with pytest.raises(SemanticError) as info:
         parse_variety(text)
@@ -317,7 +332,8 @@ def test_descent_takes_one_frame_per_open_parenthesis():
 def test_parsing_leaves_no_reference_cycles():
     # Garbage cycles would keep each parse's tokens alive until the cyclic
     # collector ran, so memory would grow with the length of the inputs.
-    texts = ["(P(1) + P(1)) x P(2)", "P(1) x", "P(2,3)", "%", "(" * 201]
+    texts = ["(P(1) + P(1)) x P(2)", "P(1) x", "P(2,3)", "%", "(" * 201,
+             "P(0) + %", "P(1) + Q(2)"]
     gc.collect()
     gc.disable()
     try:
@@ -568,18 +584,12 @@ _DIM_ONE_ATOMS = ["P(1)", "Curve(2)", "Ab(1)", "Hyp(2,3)", "CI(3; 2,2)"]
 @given(st.integers(1, 3000), st.sampled_from(["+", "x", "+x"]),
        st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 199, 200, 201]))
 def test_parser_matches_reference_on_long_chains(atoms, ops, seed, nesting):
-    rng = random.Random(seed)
-    parts = [rng.choice(_DIM_ONE_ATOMS)]
-    for _ in range(atoms - 1):
-        parts += [rng.choice(["", " "]) + rng.choice(ops) + rng.choice(["", " "]),
-                  rng.choice(_DIM_ONE_ATOMS)]
-    text = "(" * nesting + "".join(parts) + ")" * nesting
-    _assert_parsers_agree(text)
+    _assert_parsers_agree(_chain(atoms, ops, seed, nesting))
 
 
 def _chain(atoms, ops, seed, nesting):
-    """A chain built as test_parser_matches_reference_on_long_chains builds
-    its text."""
+    """``atoms`` dimension-one atoms joined by operators drawn from ``ops``,
+    with or without a space on either side, inside ``nesting`` parentheses."""
     rng = random.Random(seed)
     parts = [rng.choice(_DIM_ONE_ATOMS)]
     for _ in range(atoms - 1):
@@ -605,3 +615,28 @@ def test_accepted_input_never_takes_the_token_path(monkeypatch):
     with pytest.raises(ParseError):
         parse_variety("P(1) +")
     assert calls == ["P(1) +"]
+
+
+def _counting_lex(monkeypatch) -> list:
+    """Patch the parser's ``_lex`` to record the text of every call."""
+    module = importlib.import_module("lyubeznik.parser")
+    calls = []
+    lex = module._lex
+    monkeypatch.setattr(module, "_lex", lambda text: calls.append(text) or lex(text))
+    return calls
+
+
+def test_unicode_whitespace_stays_on_the_scanner(monkeypatch):
+    calls = _counting_lex(monkeypatch)
+    assert parse_variety("P(1)\u3000+\xa0P(1)") == parse_variety("P(1) + P(1)")
+    assert parse_variety(" P(1)\x85x P(1)\u3000") == parse_variety("P(1) x P(1)")
+    assert calls == []
+
+
+def test_each_failing_text_is_lexed_once(monkeypatch):
+    calls = _counting_lex(monkeypatch)
+    for text in [row[0] for row in _ERROR_BYTES + _SEMANTIC_BYTES]:
+        with pytest.raises((ParseError, SemanticError)):
+            parse_variety(text)
+        assert calls == [text], ascii(text[:40])
+        calls.clear()
