@@ -222,10 +222,7 @@ def _product(factors: list) -> tuple:
         pairs += nonzero * count
         length += len(factor) - 1
         nonzero = min(length, nonzero * count)
-    # The slot is wider than any entry, and the largest entry is found
-    # without the big additions of the coefficient sums.
     if (pairs <= _PACK_PAIRS_PER_ENTRY * (length + sum(map(len, factors)))
-            or max(map(max, factors)).bit_length() > 8 * _MAX_SLOT_BYTES
             or (width := _slot_bytes(factors)) > _MAX_SLOT_BYTES):
         for factor in factors[1:]:
             value = _convolve(value, factor)

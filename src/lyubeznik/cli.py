@@ -67,7 +67,8 @@ def _document_text(expr, vec, table: LyubeznikTable, verified: bool):
     # last-column cell: every part but the opening is at most a line.
     rows = [" | " + " ".join(["0".rjust(width)] * d) + " "] * (3 * d)
     rows[::3] = [i.rjust(label_width) for i in indices[1:]]
-    rows[2::3] = [cell + "\n" for cell in cells[:1:-1]] + [corner.rjust(width) + "\n"]
+    rows[2::3] = [cell + "\n" for cell in
+                  LyubeznikTable._mirror(cells, corner.rjust(width))]
     return [
         opening,
         line,
@@ -95,19 +96,7 @@ def _opening_json(expr, vec) -> str:
 
 
 # One (i, j, lambda) triple of the nonzero list, at depth 2.
-_JSON_TRIPLE = "[\n      %s,\n      %s,\n      %s\n    ]"
-
-
-def _nonzero_triples(top: list, corner: str) -> list:
-    """The table's nonzero entries as (i, j, lambda) string triples in
-    row-major order, as ``LyubeznikTable.nonzero`` lists them, from the
-    first row's strings ``top`` and the corner's string: the last column
-    is ``top`` reversed, then ``corner``.  Every entry is nonnegative, so
-    a zero is the string "0"; no entry is converted to text again."""
-    d = str(len(top) - 1)
-    return ([("0", str(j), v) for j, v in enumerate(top) if v != "0"]
-            + [(str(i), d, v) for i, v in enumerate(top[:1:-1] + [corner], 1)
-               if v != "0"])
+_JSON_TRIPLE = "[\n      %d,\n      %d,\n      %d\n    ]"
 
 
 def _document_json(expr, vec, table: LyubeznikTable, verified: bool):
@@ -120,13 +109,13 @@ def _document_json(expr, vec, table: LyubeznikTable, verified: bool):
     pad = "\n" + "  " * 3
     rows = [",\n    [" + pad + ("," + pad).join(["0"] * table.dim_a) + "," + pad] * (
         2 * table.dim_a)
-    cells = [cell + "\n    ]" for cell in top[:1:-1] + [corner]]
+    cells = [cell + "\n    ]" for cell in LyubeznikTable._mirror(top, corner)]
     rows[1::2] = cells
     return [
         _opening_json(expr, vec) + ',\n  "table": [\n    ' + _json_array(top, 2),
         *rows,
         '\n  ],\n  "nonzero": '
-        + _json_array([_JSON_TRIPLE % e for e in _nonzero_triples(top, corner)], 1)
+        + _json_array([_JSON_TRIPLE % e for e in table.nonzero()], 1)
         + f',\n  "verified": {"true" if verified else "false"}\n}}\n',
     ], len(rows[0]) + max(map(len, cells))
 
@@ -141,9 +130,9 @@ def _write_parts(out, parts, row: int) -> None:
         out.write("".join(parts[start:start + step]))
 
 
-def _csv_text(header: str, rows) -> str:
-    """``header`` (a line of its own) and one line per row of strings."""
-    return header + "".join([",".join(row) + "\n" for row in rows])
+def _csv_text(header: str, line: str, rows) -> str:
+    """``header`` (a line of its own) and each row formatted with ``line``."""
+    return header + "".join([line % row for row in rows])
 
 
 def _parse_bounded(expr_text: str, max_dim: int):
@@ -180,8 +169,7 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
                 f"{dims} vs table first row {table.first_row[:r + 1]}")
         verified = True
     if fmt == "csv":
-        top = [str(v) for v in table.first_row]
-        out.write(_csv_text("i,j,lambda\n", _nonzero_triples(top, str(table.corner))))
+        out.write(_csv_text("i,j,lambda\n", "%d,%d,%d\n", table.nonzero()))
     else:
         writer = _document_json if fmt == "json" else _document_text
         _write_parts(out, *writer(expr, vec, table, verified))
@@ -196,7 +184,7 @@ def cmd_betti(expr_text: str, fmt: str = "text", out=None,
     if fmt == "json":
         out.write(_opening_json(expr, vec) + "\n}\n")
     elif fmt == "csv":
-        out.write(_csv_text("j,beta\n", [(str(j), str(b)) for j, b in enumerate(vec)]))
+        out.write(_csv_text("j,beta\n", "%d,%d\n", enumerate(vec)))
     else:
         out.write(_opening_text(expr, vec, f"betti: {vec}"))
     return 0

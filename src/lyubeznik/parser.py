@@ -58,7 +58,7 @@ _MAX_LITERAL_DIGITS = 2000
 
 
 def _lex(text: str) -> list:
-    """``(kind, text, pos, value)`` tuples: kind INT, NAME, "(),;+x" or END."""
+    """``(kind, text, pos)`` tuples: kind INT, NAME, "(),;+x" or END."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -72,7 +72,7 @@ def _lex(text: str) -> list:
             if j - i > _MAX_LITERAL_DIGITS:
                 raise ParseError(f"integer literal longer than "
                                  f"{_MAX_LITERAL_DIGITS} digits", i)
-            tokens.append(("INT", text[i:j], i, int(text[i:j])))
+            tokens.append(("INT", text[i:j], i))
             i = j
         elif ch.isalpha():
             j = i + 1
@@ -80,17 +80,17 @@ def _lex(text: str) -> list:
                 j += 1
             # each leading "x" of the run is the product operator
             while i < j and text[i] == "x":
-                tokens.append(("x", "x", i, 0))
+                tokens.append(("x", "x", i))
                 i += 1
             if i < j:
-                tokens.append(("NAME", text[i:j], i, 0))
+                tokens.append(("NAME", text[i:j], i))
                 i = j
         elif ch in "(),;+":
-            tokens.append((ch, ch, i, 0))
+            tokens.append((ch, ch, i))
             i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", "", n, 0))
+    tokens.append(("END", "", n))
     return tokens
 
 
@@ -140,7 +140,7 @@ def parse_variety(text: str) -> VarietyExpr:
     k = 0
     while toks[k][2] < i:
         k += 1
-    kind, word, pos, _ = toks[k]
+    kind, word, pos = toks[k]
     if not expected:
         raise ParseError("parenthesis nesting too deep", pos)
     if expected is _AFTER:
@@ -220,7 +220,7 @@ def _span_atom(span: str, atoms: dict):
 def _constructor(toks: list, i: int) -> None:
     """Raise the first syntax error in the ``NAME(args)`` at ``toks[i]``,
     a span the scanner refused."""
-    _, name, pos, _ = toks[i]
+    _, name, pos = toks[i]
     if name not in _ATOMS:
         raise ParseError(f"unknown constructor {name!r}", pos, tuple(_ATOMS))
     i += 1

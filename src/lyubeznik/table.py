@@ -65,10 +65,18 @@ class LyubeznikTable(Value):
             return self.first_row[j]
         return self.last_column()[i - 1] if j == d else 0
 
+    @staticmethod
+    def _mirror(row, corner) -> tuple:
+        """The last column from a first row ``row`` and a ``corner``: ``row``
+        reversed down to its third entry, then ``corner``.  The one place
+        the mirror is written; the command line applies it, through the
+        class, to the strings of the entries as well."""
+        return (*row[:1:-1], corner)
+
     def last_column(self) -> tuple:
         """lambda_{1,d}, ..., lambda_{d,d}: the first row reversed, then the
         corner."""
-        return self.first_row[:1:-1] + (self.corner,)
+        return self._mirror(self.first_row, self.corner)
 
     def nonzero(self) -> tuple:
         """Nonzero entries as (i, j, value) triples in row-major order."""

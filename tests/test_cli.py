@@ -83,6 +83,49 @@ def test_compute_formats_agree(capsys):
     assert betti_line == "betti: (" + ", ".join(map(str, doc["betti"])) + ")"
 
 
+def _printed_grid(fmt: str, out: str) -> list:
+    """The (d+1) x (d+1) table that a ``compute`` document prints."""
+    if fmt == "json":
+        return json.loads(out)["table"]
+    if fmt == "text":
+        return [[int(v) for v in line.split("|")[1].split()]
+                for line in out.splitlines()
+                if "|" in line and not line.lstrip().startswith("i\\j")]
+    triples = [[int(v) for v in row] for row in list(csv.reader(io.StringIO(out)))[1:]]
+    d = triples[-1][0]  # the corner is the last nonzero entry
+    grid = [[0] * (d + 1) for _ in range(d + 1)]
+    for i, j, v in triples:
+        grid[i][j] = v
+    return grid
+
+
+@pytest.mark.parametrize("text", ["Curve(1) x P(1)", "Ab(64)"])
+def test_a_wrong_mirror_reaches_every_format(text, monkeypatch):
+    # The last column is written once, in LyubeznikTable._mirror; every
+    # format prints it through the table, so a patched mirror changes them all.
+    table_module = importlib.import_module("lyubeznik.table")
+
+    def documents():
+        outs = {}
+        for fmt in ("text", "json", "csv"):
+            outs[fmt] = io.StringIO()
+            assert cli.cmd_compute(text, fmt, verify=False, out=outs[fmt]) == 0
+        return {fmt: out.getvalue() for fmt, out in outs.items()}
+
+    right = documents()
+    monkeypatch.setattr(table_module.LyubeznikTable, "_mirror",
+                        staticmethod(lambda row, corner: (*row[-2:0:-1], corner)))
+    table = table_module.lyubeznik_table(betti(parse_variety(text)))
+    wrong = documents()
+    for fmt, out in wrong.items():
+        assert out != right[fmt], fmt
+        grid = _printed_grid(fmt, out)
+        assert tuple(row[-1] for row in grid[1:]) == table.last_column(), fmt
+        assert tuple((i, j, v) for i, row in enumerate(grid)
+                     for j, v in enumerate(row) if v) == table.nonzero(), fmt
+    assert tuple(map(tuple, json.loads(wrong["json"])["nonzero"])) == table.nonzero()
+
+
 def test_compute_no_verify(capsys):
     code, out, _ = run(
         ["compute", "P(2)", "--format", "json", "--no-verify"], capsys)
