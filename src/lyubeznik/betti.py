@@ -7,7 +7,8 @@ Poincare duality and the hard Lefschetz step inequalities; the checker
 unknown origin.  An atom's vector is ``betti(Atom(...))``, so a bad
 argument raises the atom's ``SemanticError`` (a ``ValueError``); a
 product's or a union's is ``betti(Product(x, y))`` or
-``betti(DisjointUnion(x, y))``.  All functions are pure and values immutable.
+``betti(DisjointUnion(x, y))``, which takes each chain of products, or of
+unions, in one step.  All functions are pure and values immutable.
 
 A product's vector is the coefficient list of the product of its factors'
 Poincare polynomials (Kunneth).  ``_product`` multiplies a whole chain of
@@ -34,7 +35,6 @@ from .variety import (
     ProjSpace,
     Value,
     VarietyExpr,
-    postorder,
 )
 
 
@@ -274,45 +274,45 @@ def betti(expr: VarietyExpr) -> BettiVector:
     """Betti vector of an arbitrary variety expression: Kunneth at each
     product and sums at each disjoint union, evaluated bottom-up.
 
-    The walk folds the tree's post-order, as ``_from_postorder`` folds it
-    on nodes, and every subtree's value is a list of factor tuples whose
-    product is its Poincare polynomial: an atom's is ``[vector]``, and a
-    product joins its operands' lists.  An item of the post-order that is
-    neither the class ``Product`` nor ``DisjointUnion`` is an atom, whose
-    numbers are read by its exact type.  A union, like the root, needs the
-    vectors: the lone factor, or ``_product`` of a longer list, so a chain
-    of factors is multiplied in one step, packed into integers where that
-    is cheaper.  The tree already guarantees equal dimensions at each
-    union, and one ``BettiVector`` is built, and checked, at the root.
-    The depth of the tree is not bounded by the interpreter's recursion
-    limit.  Each distinct atom object is expanded once per call, however
-    often the tree holds it (the parser shares equal atoms); nothing is
-    kept between calls.
+    The walk keeps its own stack, so the depth of the tree is not bounded by
+    the recursion limit.  A frame is a maximal run of joins of one kind,
+    left- or right-nested, read as one join of its operands in order: a
+    product chain is multiplied by one ``_product`` call, a union chain
+    summed in one step.  Any other node is an atom, read by its exact type;
+    each distinct atom object is expanded once per call, however often the
+    tree holds it.  One ``BettiVector`` is built, and checked, at the root.
 
     >>> str(betti(Product(Curve(1), ProjSpace(1))))
     '(1, 2, 2, 2, 1)'
+    >>> str(betti(DisjointUnion(DisjointUnion(ProjSpace(1), Curve(2)), Curve(1))))
+    '(3, 6, 3)'
     """
-    values = []
-    # Each atom's vector by id: the tree keeps every atom alive for the
-    # whole walk, so no id is reused.
+    # Each atom's vector by id: the tree keeps every atom alive, so no id is reused.
     vectors = {}
-    for item in postorder(expr):
-        if item is Product:
-            right = values.pop()
-            values[-1] += right
-        elif item is DisjointUnion:
-            right = values.pop()
-            left = values[-1]
-            left = left[0] if len(left) == 1 else _product(left)
-            right = right[0] if len(right) == 1 else _product(right)
-            # A display allocates the sum once, at its size; tuple(map(...))
-            # would grow it in steps, which fragments the heap.
-            values[-1] = [(*map(add, left, right),)]
-        else:
-            key = id(item)
-            vector = vectors.get(key)
-            if vector is None:
-                vector = vectors[key] = _ATOM_BETTI[type(item)](item)
-            values.append([vector])
-    factors = values[0]
-    return BettiVector(expr.dim, factors[0] if len(factors) == 1 else _product(factors))
+    # A frame is its join kind, its operands' values so far and its nodes still
+    # to visit, last one first; the root's frame has no kind and takes one value.
+    frames = []
+    kind, values, nodes = None, [], [expr]
+    while True:
+        while nodes:
+            node = nodes.pop()
+            cls = type(node)
+            if cls is kind:
+                nodes += (node.right, node.left)
+            elif cls is Product or cls is DisjointUnion:
+                frames.append((kind, values, nodes))
+                kind, values, nodes = cls, [], [node.right, node.left]
+            else:
+                vector = vectors.get(id(node))
+                if vector is None:
+                    vector = vectors[id(node)] = _ATOM_BETTI[cls](node)
+                values.append(vector)
+        if kind is None:
+            return BettiVector(expr.dim, values[0])
+        # A display allocates the result once, at its size.  Two operands stay
+        # on add: sum starts at 0, so it would copy the first entry once more.
+        value = (_product(values) if kind is Product
+                 else (*map(add, *values),) if len(values) == 2
+                 else (*map(sum, zip(*values)),))
+        kind, values, nodes = frames.pop()
+        values.append(value)

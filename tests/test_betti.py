@@ -6,7 +6,9 @@ expansion; neither oracle shares code with the engine.
 """
 
 import importlib
+import sys
 from math import comb
+from operator import add
 
 import pytest
 import sympy
@@ -354,9 +356,9 @@ def test_packing_bug_cannot_pass_as_verified(monkeypatch, capsys):
 
 
 def test_product_chain_is_multiplied_once(monkeypatch):
-    # Every subtree is a list of factors: a product joins its operands'
-    # lists, and only a union or the root multiplies a list of two or more
-    # out, whatever the nesting of its joins.
+    # Each maximal run of products is one frame, multiplied out once when
+    # its last operand is done, whatever the nesting of its joins; a union
+    # operand is summed first and enters as one factor.
     lists = []
     product = betti_module._product
 
@@ -373,6 +375,30 @@ def test_product_chain_is_multiplied_once(monkeypatch):
             ("P(3) + Ab(3)", []),
             ("(P(1) + Curve(0)) x Ab(1) x (P(1) + P(1))", [3]),
             ("P(1) x (P(1) + (Curve(0) + P(1)))", [2])):
+        lists.clear()
+        betti(parse_variety(text))
+        assert lists == expected, text
+
+
+def test_product_chain_factors_keep_their_order(monkeypatch):
+    # ``_product`` gets the operands of a product chain left to right,
+    # however the chain nests; a union operand enters as its sum.
+    vec = {text: betti(parse_variety(text)).betti
+           for text in ("P(1)", "Curve(1)", "Ab(2)", "P(3)", "P(1) + Curve(2)")}
+    lists = []
+    product = betti_module._product
+    monkeypatch.setattr(betti_module, "_product",
+                        lambda factors: lists.append(list(factors)) or product(factors))
+    in_order = [vec["P(1)"], vec["Curve(1)"], vec["Ab(2)"], vec["P(3)"]]
+    with_union = [vec["Ab(2)"], vec["P(1) + Curve(2)"], vec["P(3)"]]
+    for text, expected in (
+            ("P(1) x Curve(1) x Ab(2) x P(3)", [in_order]),
+            ("P(1) x (Curve(1) x (Ab(2) x P(3)))", [in_order]),
+            ("(P(1) x Curve(1)) x (Ab(2) x P(3))", [in_order]),
+            ("P(1) x (Curve(1) x Ab(2)) x P(3)", [in_order]),
+            ("Ab(2) x (P(1) + Curve(2)) x P(3)", [with_union]),
+            ("Ab(2) x ((P(1) + Curve(2)) x P(3))", [with_union]),
+            ("Ab(2) x P(3) + Ab(2) x P(3)", [[vec["Ab(2)"], vec["P(3)"]]] * 2)):
         lists.clear()
         betti(parse_variety(text))
         assert lists == expected, text
@@ -439,7 +465,7 @@ def test_betti_vector_str():
     assert str(BettiVector(1, (1, 2, 1))) == "(1, 2, 1)"
 
 
-# --- the tuple walk against the vector-per-node walk it replaced --------------
+# --- the walk against a fold of the post-order, two values at a time ----------
 
 def _reference_atom(atom):
     """Each atom's vector as the per-atom constructors built it before the
@@ -465,18 +491,25 @@ def _reference_atom(atom):
 
 
 def _reference_betti(expr):
-    """The nested convolution loop at each product and the componentwise
-    sum at each union, folded over the tree."""
-    if isinstance(expr, (Product, DisjointUnion)):
-        a, b = _reference_betti(expr.left), _reference_betti(expr.right)
-        if isinstance(expr, DisjointUnion):
-            return [x + y for x, y in zip(a, b)]
-        out = [0] * (len(a) + len(b) - 1)
-        for p, ap in enumerate(a):
-            for q, bq in enumerate(b):
-                out[p + q] += ap * bq
-        return out
-    return _reference_atom(expr)
+    """The tree's post-order folded two values at a time: the nested
+    convolution loop at each product and ``map(add)`` at each union, with
+    neither ``_product`` nor packing, and no recursion at any depth."""
+    values = []
+    for item in postorder(expr):
+        if item is Product or item is DisjointUnion:
+            b = values.pop()
+            a = values.pop()
+            if item is DisjointUnion:
+                values.append(list(map(add, a, b)))
+                continue
+            out = [0] * (len(a) + len(b) - 1)
+            for p, ap in enumerate(a):
+                for q, bq in enumerate(b):
+                    out[p + q] += ap * bq
+            values.append(out)
+        else:
+            values.append(_reference_atom(item))
+    return values[0]
 
 
 def _assert_walks_agree(expr):
@@ -577,6 +610,43 @@ def _long_chains():
 
     return [" + ".join(unions), " x ".join(factors), right_nested("+", unions[:150]),
             right_nested("x", factors), " + ".join([" x ".join(factors[:8])] * 40)]
+
+
+def _mixed_shapes():
+    """API-built trees whose runs of one join kind nest in each other."""
+    u1 = DisjointUnion(ProjSpace(1), Curve(2))
+    u2 = DisjointUnion(DisjointUnion(Curve(1), Abelian(1)), ProjSpace(1))
+    u3 = DisjointUnion(Hypersurface(3, 4), DisjointUnion(Abelian(2), ProjSpace(2)))
+    shared = Product(DisjointUnion(u1, Curve(3)), Product(u2, Abelian(1)))
+    return [
+        DisjointUnion(DisjointUnion(Product(u1, u2), Product(Curve(4), u1)),
+                      Product(u2, DisjointUnion(ProjSpace(1), u1))),
+        Product(u1, Product(u3, Product(u2, Product(u3, u1)))),
+        DisjointUnion(shared, shared),
+        DisjointUnion(u3, u3),
+    ]
+
+
+def test_walk_matches_reference_fold():
+    # The frames of the walk against the binary fold of the post-order, on
+    # every shape the corpus, the long chains and the API build.
+    trees = corpus() + corpus(max_dim=64)
+    trees += [parse_variety(render(tree)) for tree in trees]
+    chains = [parse_variety(text) for text in _long_chains()]
+    trees += chains + [_unshared(chain) for chain in chains] + _mixed_shapes()
+    for tree in trees:
+        _assert_walks_agree(tree)
+
+
+def test_deep_alternating_tree_needs_no_recursion():
+    # T_{k+1} = (T_k x P(1)) + P(k+2): the join kind changes at every level,
+    # so the walk opens a frame per level, past the recursion limit.
+    depth = sys.getrecursionlimit() + 1
+    tree = ProjSpace(1)
+    for k in range(depth):
+        tree = DisjointUnion(Product(tree, ProjSpace(1)), ProjSpace(k + 2))
+    assert tree.dim == depth + 1
+    _assert_walks_agree(tree)
 
 
 def test_shared_atoms_match_distinct_atoms(monkeypatch):
