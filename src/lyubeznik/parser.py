@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the variety expression language.
+"""Parser for the variety expression language.
 
 Grammar (both operators left-associative, the product operator ``x``
 binding tighter than the union operator ``+``):
@@ -22,17 +22,17 @@ yields a valid tree or raises ``ParseError`` (with the offset and the
 tokens that would have been accepted) or ``SemanticError``; a bad
 character is reported before any syntax error.
 
-The grammar is written once, in the scanner (``_scan``), which reads
-the text in place with no token list.  It steps over whitespace, ``x``,
-``+`` and parentheses itself, and takes each constructor as its span up
-to the next ``)``, so a span already met in the same text is its atom
-in one dictionary lookup.  ``_lex`` runs only to report an error, once
-per failing text: where the scanner stops, it knows the offset and what
-it wanted there, and the error is raised from the token at that offset
-(``_constructor`` names what is wrong in a constructor span); where an
-atom class or a union refuses its operands, that error stands.  Either
-way the whole text is lexed first, so a bad character is reported
-before any other error.
+The grammar is written once, in the scanner (``_scan``), which reads the
+text as its ``)``-separated pieces with no token list and no recursion:
+each piece but the first is blank, so its ``)`` closes a group, or an
+operator, any ``(`` and a constructor that its ``)`` ends; a piece met
+again in the same text is one dictionary lookup.  ``_lex`` runs only to
+report an error, once per failing text: where the scanner stops, it
+knows the offset and what it wanted there, and the error is raised from
+the token at that offset (``_constructor`` names what is wrong in a
+constructor span); where an atom class or a union refuses its operands,
+that error stands.  Either way the whole text is lexed first, so a bad
+character is reported before any other error.
 """
 
 from .variety import Atom, DisjointUnion, Product, VarietyExpr
@@ -110,7 +110,7 @@ _AFTER = ("'x'", "'+'", "end of input")
 
 _ATOMS = {cls.name: cls for cls in Atom.__subclasses__()}
 
-# The input's nesting bound; the descent takes one frame per open parenthesis.
+# The input's nesting bound; the scanner keeps a list frame per open parenthesis.
 _MAX_DEPTH = 200
 
 
@@ -118,24 +118,20 @@ def parse_variety(text: str) -> VarietyExpr:
     """Parse ``text`` into a variety expression.
 
     Equal atoms within ``text`` are one object, built and validated once,
-    and a constructor span written again is read once per call; no atom is
-    shared with another call's tree.  ``_lex`` runs only on text the
+    and a piece written again is read once per call; no atom is shared
+    with another call's tree.  ``_lex`` runs only on text the
     scanner stops on or an atom or a union refuses, to report the error.
 
     >>> parse_variety("Curve(1) x P(1)")
     Product(left=Curve(g=1), right=ProjSpace(n=1))
     """
     try:
-        expr, i = _scan(text, 0, 0, {})
+        return _scan(text)
     except _Stop as stop:
         i, expected = stop.args
     except ValueError:  # an atom or a union refused its operands
         _lex(text)  # a bad character anywhere is reported first
         raise
-    else:
-        if i == len(text):
-            return expr
-        expected = _AFTER
     toks = _lex(text)
     k = 0
     while toks[k][2] < i:
@@ -150,55 +146,75 @@ def parse_variety(text: str) -> VarietyExpr:
     raise _unexpected(toks[k], expected)
 
 
-def _scan(text: str, i: int, depth: int, atoms: dict) -> tuple:
-    """Read "expr" inside ``depth`` open parentheses from ``text[i]``,
-    sharing the call's ``atoms`` with ``_span_atom``: (tree, the index of
-    the first character after it that is neither whitespace nor an
-    operator), or ``_Stop`` at the first character the grammar does not
-    accept.  An operand is a group one level deeper or a constructor,
-    read as its span up to the next ")"."""
-    end = len(text)
-    union = prod = None
-    while True:
-        while i < end and text[i].isspace():
-            i += 1
-        if i < end and text[i] == "(":
-            if depth == _MAX_DEPTH:
-                raise _Stop(i, ())
-            expr, i = _scan(text, i + 1, depth + 1, atoms)
-            if i == end or text[i] != ")":
-                raise _Stop(i, ("')'",))
-            i += 1
+def _scan(text: str) -> VarietyExpr:
+    """Read ``text`` into a tree, or raise ``_Stop`` at the first character
+    the grammar does not accept.  A new piece applies its operator, opens
+    its groups, a ``(union, prod)`` frame each, then builds its atom."""
+    parts = f"+{text}".split(")")  # the "+" gives piece 0 the others' shape
+    last = parts.pop()  # no ")" ends it: blank, or its operand is cut off
+    if last and not last.isspace():
+        parts.append(last + "%")  # a character no atom accepts: a stop below
+    pieces = iter(parts)
+    known, atoms, stack = {}, {}, []
+    union = prod = expr = None
+    for part in pieces:
+        hit = known.get(part)
+        if hit is None:
+            tail = part.lstrip()
+            op, tail, opens = tail[:1], tail[1:].lstrip(), 0
+            while tail[:1] == "(":
+                tail, opens = tail[1:].lstrip(), opens + 1
         else:
-            close = text.find(")", i) + 1  # 0 with no ")": span "", refused
-            span = text[i:close]
-            expr = atoms.get(span)
-            if expr is None:
-                expr = _span_atom(span, atoms)
-                if expr is None:
-                    raise _Stop(i, _OPERAND)
-            i = close
-        if prod is not None:
-            expr = Product(prod, expr)
-        while i < end and text[i].isspace():
-            i += 1
-        kind = text[i] if i < end else ""
-        if kind != "x":
+            op, opens, atom = hit
+        if op == "x":
+            prod = expr
+        elif op == "+":
             if union is not None:
                 expr = DisjointUnion(union, expr)
-            if kind != "+":
-                return expr, i
-            union, expr = expr, None  # the next operand starts a product
-        prod, i = expr, i + 1
+            union, prod = expr, None
+        else:  # no operator: the frame ends; a blank piece's ")" closes it
+            if union is not None:
+                expr = DisjointUnion(union, expr)
+            if op or not stack:
+                raise _Stop(_offset(parts, pieces, part, len(part.lstrip())),
+                            ("')'",) if stack else _AFTER)
+            union, prod = stack.pop()
+            if prod is not None:
+                expr = Product(prod, expr)
+            if hit is None:
+                known[part] = "", 0, None
+            continue
+        if opens:
+            if len(stack) + opens > _MAX_DEPTH:  # stop at the first "(" too deep
+                deep = part.split("(", _MAX_DEPTH + 1 - len(stack))[-1]
+                raise _Stop(_offset(parts, pieces, part, len(deep) + 1), ())
+            stack += [(union, prod)] + [(None, None)] * (opens - 1)
+            union = prod = None
+        if hit is None:
+            atom = _span_atom(tail, atoms)
+            if atom is None:
+                raise _Stop(_offset(parts, pieces, part, len(tail)), _OPERAND)
+            known[part] = op, opens, atom
+        expr = atom if prod is None else Product(prod, atom)
+    if union is not None:
+        expr = DisjointUnion(union, expr)
+    if stack:
+        raise _Stop(len(text), ("')'",))
+    return expr
 
 
-def _span_atom(span: str, atoms: dict):
-    """The atom that ``span``, one ``NAME(args)`` up to its ")", writes,
-    stored in ``atoms`` under the span itself; or None where the span is
-    not one well-formed constructor.  Equal arguments are one atom, so
-    ``P(1)``, ``P( 1)`` and ``P(01)`` are one object."""
-    name, paren, args = span[:-1].partition("(")
-    cls = _ATOMS.get(name.rstrip())
+def _offset(parts: list, pieces, part: str, rest: int) -> int:
+    """Where ``part``'s last ``rest`` characters start; ``pieces`` follow it."""
+    k = len(parts) - len([*pieces]) - 1
+    return sum(map(len, parts[:k])) + k - 1 + len(part) - rest
+
+
+def _span_atom(tail: str, atoms: dict):
+    """The atom that ``tail``, a piece's ``NAME(args`` up to its ")", writes;
+    or None where it is no well-formed constructor.  Atoms are shared
+    through ``atoms``, so ``P(1``, ``P( 1`` and ``P(01`` are one object."""
+    name, paren, args = tail.partition("(")
+    cls = _ATOMS.get(name) or _ATOMS.get(name.rstrip())
     if cls is None or not paren:
         return None
     first, semi, rest = args.partition(";")
@@ -209,11 +225,10 @@ def _span_atom(span: str, atoms: dict):
             return None
         values.append(int(arg))
     # ``semi`` is part of the key: "Gr(1;3)" must fail even after "Gr(1,3)".
-    key = (cls, bool(semi), tuple(values))
+    key = (cls, semi, tuple(values))
     atom = atoms.get(key)
     if atom is None:
         atom = atoms[key] = cls._from_args(values, bool(semi))
-    atoms[span] = atom
     return atom
 
 

@@ -213,6 +213,16 @@ def test_equal_atoms_are_shared_within_one_parse_only():
         assert len(atoms) == 1, text
 
 
+def test_an_atom_is_shared_across_the_pieces_that_write_it():
+    # " + P(1", " x P(1" and "(P( 1" are three pieces but one atom.
+    text = "(P( 1) x P(1) + P(1) x P(1))"
+    first, second = ([item for item in postorder(parse_variety(text))
+                      if not isinstance(item, type) and isinstance(item, ProjSpace)]
+                     for _ in range(2))
+    assert len(first) == 4 and len({id(atom) for atom in first}) == 1
+    assert {id(atom) for atom in first}.isdisjoint(id(atom) for atom in second)
+
+
 # --- error bytes ------------------------------------------------------------
 
 _NAMES = ("P", "Gr", "Curve", "Ab", "Hyp", "CI")
@@ -314,14 +324,14 @@ def test_nesting_at_the_depth_limit_parses():
     assert parse_variety("(" * 200 + "P(1)" + ")" * 200) == ProjSpace(1)
 
 
-def test_descent_takes_one_frame_per_open_parenthesis():
-    # _MAX_DEPTH bounds the stack: nesting at the limit must fit in the
-    # frames already in use plus one per parenthesis and a small margin.
+def test_nesting_takes_no_stack_frame_per_parenthesis():
+    # The scanner keeps its groups on a list: nesting at the limit must fit
+    # in the frames already in use plus a small margin, whatever the depth.
     frames, frame = 0, sys._getframe()
     while frame is not None:
         frames, frame = frames + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(frames + _MAX_DEPTH + 20)
+    sys.setrecursionlimit(frames + 20)
     try:
         deep = "(" * _MAX_DEPTH + "P(1)" + ")" * _MAX_DEPTH
         assert parse_variety(deep) == ProjSpace(1)
@@ -358,9 +368,10 @@ def _parser_tree():
 
 
 def test_parser_has_no_closures():
-    # The descent functions pass the token index along, so no function
-    # shares state with another through a closure, and none forms a
-    # reference cycle that would keep a parse's tokens alive.
+    # The scanner keeps its pieces, frames and atoms in its own locals and
+    # passes them to its helpers, so no function shares state with another
+    # through a closure, and none forms a reference cycle that would keep
+    # a parse's pieces alive.
     tree = _parser_tree()
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     nested = [f"parser.py:{inner.lineno}"
@@ -596,6 +607,57 @@ def _chain(atoms, ops, seed, nesting):
         parts += [rng.choice(["", " "]) + rng.choice(ops) + rng.choice(["", " "]),
                   rng.choice(_DIM_ONE_ATOMS)]
     return "(" * nesting + "".join(parts) + ")" * nesting
+
+
+# Texts at the edges of the scanner's ")"-separated pieces: a ")" that
+# closes nothing (also after blanks that open the text), a group whose last
+# operand is missing, a last piece that no ")" ends, the depth bound crossed
+# inside one piece, a union that must refuse its operands before the next
+# atom is read, and a glued "x" after a blank piece.
+_PIECE_EDGES = [
+    "P(1))",
+    " \t P(1) + P(1)) x P(1)",
+    "(P(1) + )",
+    "P(1) + P(2",
+    "P(1) x " + "(" * 201 + "P(1)" + ")" * 201,
+    "P(1) + P(2) + Q(1)",
+    "(P(1) ) xP(1)",
+]
+
+
+@pytest.mark.parametrize("text", _PIECE_EDGES)
+def test_parser_matches_reference_at_piece_edges(text):
+    _assert_parsers_agree(text)
+
+
+def test_union_refuses_its_operands_before_the_next_atom_is_read():
+    with pytest.raises(DimensionMismatchError):
+        parse_variety("P(1) + P(2) + Q(1)")
+    with pytest.raises(DimensionMismatchError):
+        parse_variety("P(1) + P(2) + P(0)")
+
+
+def _right_nested(atoms, seed):
+    """``A + (B + (C ...))`` over ``atoms`` dimension-one atoms, as the
+    long-exprs benchmark writes it, with random spacing and operators."""
+    rng = random.Random(seed)
+    space = ["", " ", "  ", "\t", "\u3000"]
+    text = rng.choice(_DIM_ONE_ATOMS)
+    for _ in range(atoms - 1):
+        text = "".join([rng.choice(_DIM_ONE_ATOMS), rng.choice(space), rng.choice("+x"),
+                        rng.choice(space), "(", rng.choice(space), text,
+                        rng.choice(space), ")"])
+    return rng.choice(space) + text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 250), st.integers(0, 2 ** 32 - 1), st.data())
+def test_parser_matches_reference_on_right_nested_chains(atoms, seed, data):
+    text = _right_nested(atoms, seed)
+    _assert_parsers_agree(text)
+    # one piece corrupted: a grammar piece spliced in at a random place
+    cut = data.draw(st.integers(0, len(text)))
+    _assert_parsers_agree(text[:cut] + data.draw(_PIECES) + text[cut:])
 
 
 def test_accepted_input_never_takes_the_token_path(monkeypatch):
