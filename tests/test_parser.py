@@ -214,11 +214,10 @@ def test_equal_atoms_are_shared_within_one_parse_only():
 
 
 def test_an_atom_is_shared_across_the_pieces_that_write_it():
-    # " + P(1", " x P(1" and "(P( 1" are three pieces but one atom.
+    # "(P( 1", " x P(1" and " + P(1" are three pieces but one atom.
     text = "(P( 1) x P(1) + P(1) x P(1))"
     first, second = ([item for item in postorder(parse_variety(text))
-                      if not isinstance(item, type) and isinstance(item, ProjSpace)]
-                     for _ in range(2))
+                      if isinstance(item, ProjSpace)] for _ in range(2))
     assert len(first) == 4 and len({id(atom) for atom in first}) == 1
     assert {id(atom) for atom in first}.isdisjoint(id(atom) for atom in second)
 
