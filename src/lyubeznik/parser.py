@@ -10,9 +10,9 @@ binding tighter than the union operator ``+``):
 
 Lexical rules: any Unicode whitespace (``str.isspace``) is ignored; an
 INT is a run of ASCII digits, at most 2000 of them; a NAME is a run of
-letters (``str.isalpha``); ``x`` is always the product operator, also
-glued to a name as in ``P(1)xP(1)``, since no constructor name starts
-with ``x``.  Any other character is a syntax error.
+letters (``str.isalpha``); an ``x`` that starts a token is the product
+operator, also glued to a name as in ``P(1)xP(1)``, since no constructor
+name starts with ``x``.  Any other character is a syntax error.
 
 Each atom class reads its own argument list (``Atom._from_args``,
 beside the ``text()`` it inverts): the semicolon form belongs to CI
@@ -27,11 +27,11 @@ text as its ``)``-separated pieces with no token list and no recursion:
 each piece but the first is blank, so its ``)`` closes a group, or an
 operator, any ``(`` and a constructor that its ``)`` ends; a piece met
 again in the same text is one dictionary lookup.  ``_lex`` runs only to
-report an error, once per failing text: where the scanner stops, it
-knows the offset and what it wanted there, and the error is raised from
-the token at that offset (``_constructor`` names what is wrong in a
-constructor span); where an atom class or a union refuses its operands,
-that error stands.  Either way the whole text is lexed first, so a bad
+report an error, once per failing text.  Where the scanner stops, it
+raises ``_syntax_error``, which names the first token at or after the
+stop, or the first one out of place in a constructor span the scanner
+refused.  Where an atom class or a union refuses its operands, that
+error stands.  Either way the whole text is lexed first, so a bad
 character is reported before any other error.
 """
 
@@ -58,7 +58,7 @@ _MAX_LITERAL_DIGITS = 2000
 
 
 def _lex(text: str) -> list:
-    """``(kind, text, pos)`` tuples: kind INT, NAME, "(),;+x" or END."""
+    """``(kind, text, pos)`` tuples: kind INT, NAME, "(),;+x" or END; no NAME starts "x"."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -74,34 +74,19 @@ def _lex(text: str) -> list:
                                  f"{_MAX_LITERAL_DIGITS} digits", i)
             tokens.append(("INT", text[i:j], i))
             i = j
+        elif ch in "(),;+x":  # no constructor name starts with "x"
+            tokens.append((ch, ch, i))
+            i += 1
         elif ch.isalpha():
             j = i + 1
             while j < n and text[j].isalpha():
                 j += 1
-            # each leading "x" of the run is the product operator
-            while i < j and text[i] == "x":
-                tokens.append(("x", "x", i))
-                i += 1
-            if i < j:
-                tokens.append(("NAME", text[i:j], i))
-                i = j
-        elif ch in "(),;+":
-            tokens.append((ch, ch, i))
-            i += 1
+            tokens.append(("NAME", text[i:j], i))
+            i = j
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("END", "", n))
     return tokens
-
-
-def _unexpected(token: tuple, expected: tuple) -> ParseError:
-    got = "end of input" if token[0] == "END" else repr(token[1])
-    return ParseError(f"unexpected {got}", token[2], expected)
-
-
-class _Stop(Exception):
-    """The scanner's stop: ``(offset, expected)``, the tokens it would have
-    accepted there; an empty ``expected`` is a "(" beyond ``_MAX_DEPTH``."""
 
 
 _OPERAND = ("constructor name", "'('")
@@ -124,30 +109,22 @@ def parse_variety(text: str) -> VarietyExpr:
 
     >>> parse_variety("Curve(1) x P(1)")
     Product(left=Curve(g=1), right=ProjSpace(n=1))
+    >>> parse_variety("P(2 3)")
+    Traceback (most recent call last):
+        ...
+    lyubeznik.parser.ParseError: unexpected '3' (offset 4, expected ')')
     """
     try:
         return _scan(text)
-    except _Stop as stop:
-        i, expected = stop.args
+    except ParseError:
+        raise
     except ValueError:  # an atom or a union refused its operands
         _lex(text)  # a bad character anywhere is reported first
         raise
-    toks = _lex(text)
-    k = 0
-    while toks[k][2] < i:
-        k += 1
-    kind, word, pos = toks[k]
-    if not expected:
-        raise ParseError("parenthesis nesting too deep", pos)
-    if expected is _AFTER:
-        raise ParseError(f"unexpected {word!r} after expression", pos, _AFTER)
-    if expected is _OPERAND and kind == "NAME":
-        _constructor(toks, k)  # raises: the scanner refused this span
-    raise _unexpected(toks[k], expected)
 
 
 def _scan(text: str) -> VarietyExpr:
-    """Read ``text`` into a tree, or raise ``_Stop`` at the first character
+    """Read ``text`` into a tree, or raise ``_syntax_error`` at the first character
     the grammar does not accept.  A new piece applies its operator, opens
     its groups, a ``(union, prod)`` frame each, then builds its atom."""
     parts = f"+{text}".split(")")  # the "+" gives piece 0 the others' shape
@@ -176,8 +153,8 @@ def _scan(text: str) -> VarietyExpr:
             if union is not None:
                 expr = DisjointUnion(union, expr)
             if op or not stack:
-                raise _Stop(_offset(parts, pieces, part, len(part.lstrip())),
-                            ("')'",) if stack else _AFTER)
+                raise _syntax_error(text, _offset(parts, pieces, part, len(part.lstrip())),
+                                    ("')'",) if stack else _AFTER)
             union, prod = stack.pop()
             if prod is not None:
                 expr = Product(prod, expr)
@@ -187,19 +164,19 @@ def _scan(text: str) -> VarietyExpr:
         if opens:
             if len(stack) + opens > _MAX_DEPTH:  # stop at the first "(" too deep
                 deep = part.split("(", _MAX_DEPTH + 1 - len(stack))[-1]
-                raise _Stop(_offset(parts, pieces, part, len(deep) + 1), ())
+                raise _syntax_error(text, _offset(parts, pieces, part, len(deep) + 1), ())
             stack += [(union, prod)] + [(None, None)] * (opens - 1)
             union = prod = None
         if hit is None:
             atom = _span_atom(tail, atoms)
             if atom is None:
-                raise _Stop(_offset(parts, pieces, part, len(tail)), _OPERAND)
+                raise _syntax_error(text, _offset(parts, pieces, part, len(tail)), _OPERAND)
             known[part] = op, opens, atom
         expr = atom if prod is None else Product(prod, atom)
     if union is not None:
         expr = DisjointUnion(union, expr)
     if stack:
-        raise _Stop(len(text), ("')'",))
+        raise _syntax_error(text, len(text), ("')'",))
     return expr
 
 
@@ -232,23 +209,32 @@ def _span_atom(tail: str, atoms: dict):
     return atom
 
 
-def _constructor(toks: list, i: int) -> None:
-    """Raise the first syntax error in the ``NAME(args)`` at ``toks[i]``,
-    a span the scanner refused."""
-    _, name, pos = toks[i]
-    if name not in _ATOMS:
-        raise ParseError(f"unknown constructor {name!r}", pos, tuple(_ATOMS))
-    i += 1
-    if toks[i][0] != "(":
-        raise _unexpected(toks[i], ("'('",))
-    seps = (";", ",")  # a ";" may follow the first integer only
-    while True:
-        i += 1
-        if toks[i][0] != "INT":
-            raise _unexpected(toks[i], ("integer",))
-        i += 1
-        if toks[i][0] not in seps:
-            break
-        seps = (",",)
-    if toks[i][0] != ")":
-        raise _unexpected(toks[i], ("')'",))
+def _syntax_error(text: str, offset: int, expected: tuple) -> ParseError:
+    """The error for the scanner's stop at ``offset``, where it would have
+    accepted ``expected`` (empty: a "(" beyond ``_MAX_DEPTH``).  The whole
+    text is lexed, so a bad character anywhere is reported instead; a
+    constructor span the scanner refused is walked to its first bad token."""
+    toks = _lex(text)
+    k = 0
+    while toks[k][2] < offset:
+        k += 1
+    kind, word, pos = toks[k]
+    if not expected:
+        return ParseError("parenthesis nesting too deep", pos)
+    if expected is _OPERAND and kind == "NAME":
+        if word not in _ATOMS:
+            return ParseError(f"unknown constructor {word!r}", pos, tuple(_ATOMS))
+        # walk NAME "(" INT {sep INT} ")" to the first token out of place
+        k, expected = k + 1, ("'('",)
+        if toks[k][0] == "(":
+            seps = (";", ",")  # a ";" may follow the first integer only
+            while toks[k + 1][0] == "INT" and toks[k + 2][0] in seps:
+                k, seps = k + 2, (",",)
+            if toks[k + 1][0] == "INT":
+                k, expected = k + 2, ("')'",)
+            else:
+                k, expected = k + 1, ("integer",)
+        kind, word, pos = toks[k]
+    got = "end of input" if kind == "END" else repr(word)
+    after = " after expression" if expected is _AFTER else ""
+    return ParseError(f"unexpected {got}{after}", pos, expected)

@@ -286,6 +286,16 @@ _ERROR_BYTES = [
      "'x' or '+' or end of input)", 5, _AFTER),
     ("(P(1) + P(2) x", "unexpected end of input (offset 14, expected "
      "constructor name or '(')", 14, _ATOM_START),
+    # each step of the walk through a refused constructor span: a missing
+    # integer after ";", a second ";", a missing "(", a missing integer
+    # inside a group, and a ";" outside CI that the walk lets through
+    ("CI(3;)", "unexpected ')' (offset 5, expected integer)", 5, ("integer",)),
+    ("CI(4; 2,3;1)", "unexpected ';' (offset 9, expected ')')", 9, ("')'",)),
+    ("P(1) + Gr 2", "unexpected '2' (offset 10, expected '(')", 10, ("'('",)),
+    ("(P(1) + CI(4; 2,)", "unexpected ')' (offset 16, expected integer)",
+     16, ("integer",)),
+    ("P(1) x Ab(1;2", "unexpected end of input (offset 13, expected ')')",
+     13, ("')'",)),
 ]
 
 
@@ -585,6 +595,18 @@ def _near_grammatical(draw):
 @given(_near_grammatical())
 def test_parser_matches_reference_near_the_grammar(text):
     _assert_parsers_agree(text)
+
+
+# The same kind of text as above, drawn from a fixed seed, so every run
+# checks the same 20000 inputs and not only hypothesis' random draws.
+_SEEDED_ALPHABET = [*_NAMES, "x", "(", ")", ",", ";", "+", "1", "2", "12", " ",
+                    "%", "é", "xP", "P(", "CI(5;"]
+
+
+def test_parser_matches_reference_on_seeded_texts():
+    rng = random.Random(30)
+    for _ in range(20000):
+        _assert_parsers_agree("".join(rng.choices(_SEEDED_ALPHABET, k=rng.randint(0, 12))))
 
 
 _DIM_ONE_ATOMS = ["P(1)", "Curve(2)", "Ab(1)", "Hyp(2,3)", "CI(3; 2,2)"]
