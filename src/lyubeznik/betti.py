@@ -2,7 +2,8 @@
 
 ``betti`` returns the full vector (beta_0, ..., beta_{2r}) with
 arbitrary-precision integer entries.  Vectors produced here satisfy
-Poincare duality and the hard Lefschetz step inequalities; the checker
+Poincare duality, the hard Lefschetz step inequalities and Hodge parity
+(every odd-degree Betti number is even); the checker
 ``check_lefschetz_admissible`` verifies those constraints for vectors of
 unknown origin.  An atom's vector is ``betti(Atom(...))``, so a bad
 argument raises the atom's ``SemanticError`` (a ``ValueError``); a
@@ -21,8 +22,9 @@ entries to pack and unpack by ``_PACK_PAIRS_PER_ENTRY``, and the slot of
 s bits is at most ``_MAX_SLOT_BYTES`` wide.
 """
 
+from itertools import repeat
 from math import comb, prod
-from operator import add
+from operator import add, and_
 
 from .variety import (
     Abelian,
@@ -39,8 +41,8 @@ from .variety import (
 
 
 class AdmissibilityError(ValueError):
-    """A Betti vector violates duality or a hard Lefschetz inequality;
-    ``pair`` is the violated index pair, ``()`` if there is none."""
+    """A Betti vector violates duality, a hard Lefschetz inequality or Hodge
+    parity; ``pair`` is the violated index pair, ``()`` if there is none."""
 
     def __init__(self, reason: str, pair: tuple = ()):
         super().__init__(reason)
@@ -96,29 +98,41 @@ _set_vector_betti = BettiVector.betti.__set__
 
 
 def check_lefschetz_admissible(b: BettiVector) -> None:
-    """Check beta_0 >= 1, Poincare duality, and the hard Lefschetz steps
-    beta_j <= beta_{j+2} for j + 2 <= r.  Raises ``AdmissibilityError``
-    carrying the first violated index pair; returns None when all hold.
+    """Check beta_0 >= 1, Poincare duality, the hard Lefschetz steps
+    beta_j <= beta_{j+2} for j + 2 <= r, and Hodge parity: beta_j is even
+    for every odd j <= r, its pair being (j, 2r - j).  Raises
+    ``AdmissibilityError`` carrying the first violated index pair; returns
+    None when all hold.
 
     >>> check_lefschetz_admissible(BettiVector(2, (1, 0, 2, 0, 1)))
     >>> check_lefschetz_admissible(BettiVector(2, (1, 0, 0, 0, 1)))
     Traceback (most recent call last):
         ...
     lyubeznik.betti.AdmissibilityError: hard Lefschetz fails: beta_0 = 1 > beta_2 = 0
+    >>> check_lefschetz_admissible(BettiVector(1, (1, 1, 1)))
+    Traceback (most recent call last):
+        ...
+    lyubeznik.betti.AdmissibilityError: Hodge parity fails: beta_1 = 1 is odd
     """
     r, beta = b.dim, b.betti
     if beta[0] < 1:
         raise AdmissibilityError(f"beta_0 = {beta[0]} must be positive", (0, 0))
-    for j in range(r):
-        if beta[j] != beta[2 * r - j]:
-            raise AdmissibilityError(
-                f"duality fails: beta_{j} = {beta[j]} != beta_{2 * r - j} = {beta[2 * r - j]}",
-                (j, 2 * r - j))
+    # Duality and parity are tested on slices, at C speed; only a vector
+    # that breaks one pays for the search of its first violated index.
+    if beta[:r] != beta[:r:-1]:
+        j = next(j for j in range(r) if beta[j] != beta[2 * r - j])
+        raise AdmissibilityError(
+            f"duality fails: beta_{j} = {beta[j]} != beta_{2 * r - j} = {beta[2 * r - j]}",
+            (j, 2 * r - j))
     for j in range(r - 1):
         if beta[j] > beta[j + 2]:
             raise AdmissibilityError(
                 f"hard Lefschetz fails: beta_{j} = {beta[j]} > beta_{j + 2} = {beta[j + 2]}",
                 (j, j + 2))
+    if any(map(and_, beta[1:r + 1:2], repeat(1))):
+        j = next(j for j in range(1, r + 1, 2) if beta[j] & 1)
+        raise AdmissibilityError(f"Hodge parity fails: beta_{j} = {beta[j]} is odd",
+                                 (j, 2 * r - j))
 
 
 def _partitions_in_box(rows: int, cols: int) -> list:

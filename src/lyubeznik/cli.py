@@ -7,7 +7,8 @@ Subcommands:
     graph <file>     corner entry from a component-intersection JSON file
 
 Exit codes: 0 success, 1 user error (running out of memory included),
-2 internal failure (the two routes disagree, or an unexpected exception).
+2 internal failure (the two routes disagree, the table's alternating sum
+is not 1, or an unexpected exception).
 Output is deterministic: identical invocations produce identical bytes.
 Every part of a document is built before its first write, so stdout stays
 empty on exit 1 or 2 unless the write itself failed.  Text and JSON
@@ -167,6 +168,22 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
             raise InternalConsistencyError(
                 f"oracle mismatch for {render(expr)}: exact-sequence dims "
                 f"{dims} vs table first row {table.first_row[:r + 1]}")
+        # The table's alternating sum, sum of (-1)^(i-j) lambda_(i,j), is 1
+        # for every Lyubeznik table.  It reads the last column and the
+        # corner, which the oracle does not.  lambda_(0,j) has the sign
+        # (-1)^j and lambda_(i,d) the sign (-1)^(d-i), so lambda_(0,j) and
+        # lambda_(d+1-j,d) cancel where the last column mirrors the first
+        # row, and the sum is then the corner minus lambda_(0,1).
+        row, column = table.first_row, table.last_column()
+        if column[:-1] == row[:1:-1]:
+            total = column[-1] - row[1]
+        else:
+            total = (sum(row[::2]) - sum(row[1::2])
+                     + sum(column[::-2]) - sum(column[-2::-2]))
+        if total != 1:
+            raise InternalConsistencyError(
+                f"alternating sum check fails for {render(expr)}: "
+                f"the table's alternating sum is {total}, not 1")
         verified = True
     if fmt == "csv":
         out.write(_csv_text("i,j,lambda\n", "%d,%d,%d\n", table.nonzero()))
@@ -280,6 +297,19 @@ def _build_arg_parser():
 
 
 def main(argv=None) -> int:
+    # Every bound of the program assumes Python's default int/str limit, so
+    # a lower one set by the user (PYTHONINTMAXSTRDIGITS, -X
+    # int_max_str_digits) is raised for the run, and restored after it.
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < MAX_INT_DIGITS:
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     try:
         args = _build_arg_parser().parse_args(argv)
     except SystemExit as exc:

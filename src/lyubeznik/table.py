@@ -8,6 +8,8 @@ other entry vanishes.  The table therefore stores only the first row and
 the corner, and derives every other entry when it is read.
 """
 
+from operator import sub
+
 from .betti import BettiVector, check_lefschetz_admissible
 from .variety import Value
 
@@ -121,7 +123,9 @@ def lyubeznik_table(b: BettiVector) -> LyubeznikTable:
     row = [0, beta[0] - 1]
     if r >= 2:
         row.append(beta[1])
-    row += [beta[j - 1] - beta[j - 3] for j in range(3, r + 1)]
+    # beta_{j-1} - beta_{j-3} for j = 3..r: empty below r = 3, where
+    # beta[2:r] is, since map stops at its shorter argument.
+    row += map(sub, beta[2:r], beta[:r - 2])
     row.append(0)
     return LyubeznikTable(r + 1, tuple(row), beta[0])
 

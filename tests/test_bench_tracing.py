@@ -2,20 +2,14 @@
 outside.  A rename, or a walk that stops calling a wrapped name, would
 read 0 in a per-layer metric instead of failing; these checks fail here."""
 
-import importlib.util
 import io
 import json
-from pathlib import Path
 
-_TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
+from reference import load_bench_module
 
 
 def _load_tracing():
-    # Loaded from its file, so that nothing is added to sys.path.
-    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench_module("tracing")
 
 
 def test_every_wrapped_name_resolves_and_fires(tmp_path):

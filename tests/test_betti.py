@@ -2,12 +2,13 @@
 
 The Grassmannian path is checked against a brute-force partition
 enumerator and the complete-intersection path against a symbolic series
-expansion; neither oracle shares code with the engine.
+expansion; neither oracle shares code with the engine.  The walk over
+whole trees is checked against the atom vectors of ``bench/checker.py``,
+which imports nothing from the program.
 """
 
 import importlib
 import sys
-from math import comb
 from operator import add
 
 import pytest
@@ -37,6 +38,7 @@ from lyubeznik import (
 )
 from lyubeznik.cli import main
 from lyubeznik.variety import Atom, _from_postorder, postorder
+from reference import checker, checker_tree
 
 # The module itself: the package's ``betti`` attribute is the function.
 betti_module = importlib.import_module("lyubeznik.betti")
@@ -423,7 +425,10 @@ def test_admissibility_examples():
              "hard Lefschetz fails: beta_0 = 1 > beta_2 = 0"),
             (BettiVector(2, (1, 0, 2, 0, 2)), (0, 4),
              "duality fails: beta_0 = 1 != beta_4 = 2"),
-            (BettiVector(1, (0, 0, 0)), (0, 0), "beta_0 = 0 must be positive")]:
+            (BettiVector(1, (0, 0, 0)), (0, 0), "beta_0 = 0 must be positive"),
+            (BettiVector(1, (1, 1, 1)), (1, 1), "Hodge parity fails: beta_1 = 1 is odd"),
+            (BettiVector(3, (1, 0, 1, 1, 1, 0, 1)), (3, 3),
+             "Hodge parity fails: beta_3 = 1 is odd")]:
         with pytest.raises(AdmissibilityError) as info:
             check_lefschetz_admissible(vec)
         assert info.value.pair == pair and str(info.value) == reason
@@ -468,26 +473,9 @@ def test_betti_vector_str():
 # --- the walk against a fold of the post-order, two values at a time ----------
 
 def _reference_atom(atom):
-    """Each atom's vector as the per-atom constructors built it before the
-    walk ran on tuples."""
-    r = atom.dim
-    if isinstance(atom, ProjSpace):
-        return [1 if j % 2 == 0 else 0 for j in range(2 * r + 1)]
-    if isinstance(atom, Grassmannian):
-        vec = [0] * (2 * r + 1)
-        for i, c in enumerate(betti_module._partitions_in_box(atom.k, atom.n - atom.k)):
-            vec[2 * i] = c
-        return vec
-    if isinstance(atom, Curve):
-        return [1, 2 * atom.g, 1]
-    if isinstance(atom, Abelian):
-        return [comb(2 * atom.g, j) for j in range(2 * atom.g + 1)]
-    chi = euler_char_ci(atom)
-    vec = [1 if j % 2 == 0 else 0 for j in range(2 * r + 1)]
-    vec[r] = 0
-    off_middle = sum(b if j % 2 == 0 else -b for j, b in enumerate(vec))
-    vec[r] = chi - off_middle if r % 2 == 0 else -(chi - off_middle)
-    return vec
+    """Each atom's vector from the benchmark's checker, which shares no code
+    with the program."""
+    return checker.betti(checker_tree(atom))
 
 
 def _reference_betti(expr):

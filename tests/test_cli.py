@@ -126,6 +126,36 @@ def test_a_wrong_mirror_reaches_every_format(text, monkeypatch):
     assert tuple(map(tuple, json.loads(wrong["json"])["nonzero"])) == table.nonzero()
 
 
+def _alternating_sum_failure(text, total):
+    return (f"internal consistency failure: alternating sum check fails for {text}: "
+            f"the table's alternating sum is {total}, not 1\n")
+
+
+@pytest.mark.parametrize("text, total", [
+    ("Curve(1) x P(1)", 5), ("Ab(64)", 2143878806550206018786961703060636803)])
+def test_a_wrong_mirror_fails_the_alternating_sum(text, total, monkeypatch, capsys):
+    # The oracle checks the first row only; the alternating sum reads the
+    # last column, so a mirror shifted by one entry exits 2 in every format.
+    table_module = importlib.import_module("lyubeznik.table")
+    monkeypatch.setattr(table_module.LyubeznikTable, "_mirror",
+                        staticmethod(lambda row, corner: (*row[-2:0:-1], corner)))
+    for fmt in ("text", "json", "csv"):
+        assert run(["compute", text, "--format", fmt], capsys) == (
+            2, "", _alternating_sum_failure(text, total))
+
+
+def test_a_wrong_corner_fails_the_alternating_sum(monkeypatch, capsys):
+    table_module = importlib.import_module("lyubeznik.table")
+
+    def corner_plus_one(vec):
+        table = lyubeznik_table(vec)
+        return table_module.LyubeznikTable(table.dim_a, table.first_row, table.corner + 1)
+
+    monkeypatch.setattr(cli, "lyubeznik_table", corner_plus_one)
+    assert run(["compute", "Curve(1) x P(1)"], capsys) == (
+        2, "", _alternating_sum_failure("Curve(1) x P(1)", 2))
+
+
 def test_compute_no_verify(capsys):
     code, out, _ = run(
         ["compute", "P(2)", "--format", "json", "--no-verify"], capsys)
@@ -735,6 +765,47 @@ def test_large_documents_run_in_memory_that_grows_with_r(fmt):
     code, digest, err = _run_child(argv, address_space=128 << 20)
     assert (code, err) == (0, "")
     assert digest == _run_child(argv)[1]
+
+
+def test_a_lower_int_str_limit_changes_no_byte(tmp_path):
+    # main() raises a lower int/str digit limit for its run, so the same
+    # argv gives the same exit code and bytes under PYTHONINTMAXSTRDIGITS.
+    big, half = "1" + "0" * 700, "1" + "0" * 350
+    graph = tmp_path / "graph.json"
+    graph.write_text(f'{{"components": [{{"name": "A", "dim": {big}}}], '
+                     f'"intersections": []}}', encoding="utf-8")
+    argvs = [["compute", f"Curve({big})", "--format", "csv"],
+             ["compute", f"Curve({half}) x Curve({half})", "--no-verify"],
+             ["graph", str(graph)]]
+    argvs += [["compute", render(expr), "--format", fmt]
+              for expr, fmt in zip(corpus(max_dim=64)[:3], ("text", "json", "csv"))]
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    for argv in argvs:
+        default, lowered = (
+            subprocess.run([sys.executable, "-m", "lyubeznik", *argv], env=child_env,
+                           capture_output=True, text=True, timeout=60)
+            for child_env in (env, {**env, "PYTHONINTMAXSTRDIGITS": "640"}))
+        assert default.returncode == 0, default.stderr
+        assert (lowered.returncode, lowered.stdout, lowered.stderr) == (
+            default.returncode, default.stdout, default.stderr), argv[:2]
+
+
+def test_main_restores_the_callers_int_str_limit(capsys):
+    # A caller of the cmd_* functions keeps its own limit, below the 4300
+    # digits that the program needs; main() raises it for its run only.
+    text = "Curve(1" + "0" * 700 + ")"
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["compute", text, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "i,j,lambda\n2,2,1\n"
+        assert sys.get_int_max_str_digits() == 640
+        with pytest.raises(ValueError):
+            cli.cmd_compute(text, "csv", out=io.StringIO())
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _loaded_at_import(module, names):

@@ -1,11 +1,12 @@
 """Byte identity of every output format against a dense reference.
 
 The program stores only the first row and the corner of a table and
-writes its documents straight from them.  The reference here builds the
-full (r+2) x (r+2) grid from the paper's formulas and serializes it the
-way the dense writers did: ``json.dumps(..., indent=2)``, a per-cell text
-grid and ``csv.writer`` over a row-major scan.  Both must agree byte for
-byte, with verification on and off.
+writes its documents straight from them.  The reference here takes the
+Betti vector, the full (r+2) x (r+2) grid and the expression line from
+``bench/checker.py``, which imports nothing from the program, and
+serializes them the way the dense writers did: ``json.dumps(...,
+indent=2)``, a per-cell text grid and ``csv.writer`` over a row-major
+scan.  Both must agree byte for byte, with verification on and off.
 """
 
 import csv
@@ -15,27 +16,11 @@ import json
 import pytest
 
 from corpus import CORPUS_SEED, CORPUS_SIZE, corpus
-from lyubeznik import betti, parse_variety, render
+from lyubeznik import parse_variety, render
 from lyubeznik.cli import cmd_betti, cmd_compute
+from reference import checker, checker_tree
 
 WORST_CASES = ("Gr(8,16)", "Ab(64)", "Hyp(65,10)", "CI(67; 2,3,4)")
-
-
-def dense_rows(vec):
-    """The table of the paper: first row from consecutive Betti differences,
-    last column mirroring it, beta_0 in the corner, zero elsewhere."""
-    r, b = vec.dim, vec.betti
-    d = r + 1
-    rows = [[0] * (d + 1) for _ in range(d + 1)]
-    rows[0][1] = b[0] - 1
-    if r >= 2:
-        rows[0][2] = b[1]
-    for j in range(3, r + 1):
-        rows[0][j] = b[j - 1] - b[j - 3]
-    for ell in range(2, r + 1):
-        rows[ell][d] = rows[0][r + 2 - ell]
-    rows[d][d] = b[0]
-    return rows
 
 
 def reference_text(expr, dim, betti_numbers, rows, verified):
@@ -61,15 +46,13 @@ def reference_text(expr, dim, betti_numbers, rows, verified):
 
 
 def reference_outputs(text, verified):
-    expr = parse_variety(text)
-    vec = betti(expr)
-    rows = dense_rows(vec)
-    nonzero = [[i, j, v] for i, row in enumerate(rows)
-               for j, v in enumerate(row) if v]
+    tree = checker_tree(parse_variety(text))
+    dim, betti_numbers, rows = checker.table(tree)
+    nonzero = checker.nonzero(rows)
     payload = {
-        "expr": render(expr),
-        "dim": vec.dim,
-        "betti": list(vec.betti),
+        "expr": checker.render(tree),
+        "dim": dim,
+        "betti": betti_numbers,
         "table": rows,
         "nonzero": nonzero,
         "verified": verified,
@@ -80,7 +63,7 @@ def reference_outputs(text, verified):
     writer.writerows(nonzero)
     return {
         "json": json.dumps(payload, indent=2) + "\n",
-        "text": reference_text(render(expr), vec.dim, vec.betti, rows, verified),
+        "text": reference_text(payload["expr"], dim, betti_numbers, rows, verified),
         "csv": buf.getvalue(),
     }
 
@@ -115,8 +98,9 @@ def test_worst_case_bytes(text):
 
 def test_betti_json_bytes():
     for expr in corpus(seed=CORPUS_SEED, size=CORPUS_SIZE, max_dim=64):
-        vec = betti(expr)
-        payload = {"expr": render(expr), "dim": vec.dim, "betti": list(vec.betti)}
+        tree = checker_tree(expr)
+        dim, betti_numbers, _ = checker.table(tree)
+        payload = {"expr": checker.render(tree), "dim": dim, "betti": betti_numbers}
         out = io.StringIO()
         assert cmd_betti(render(expr), "json", out=out) == 0
         assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
