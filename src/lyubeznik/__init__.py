@@ -4,9 +4,9 @@ The package parses a small expression language for varieties (projective
 spaces, Grassmannians, curves, abelian varieties, hypersurfaces, complete
 intersections, products, disjoint unions), computes exact de Rham Betti
 vectors, and fills in the complete table of Lyubeznik numbers of the
-local ring at the vertex of the affine cone.  An independent
-exact-sequence bookkeeping routine recomputes the first row so every
-answer can be cross-checked.
+local ring at the vertex of the affine cone.  Independent
+exact-sequence bookkeeping recomputes the first row and the last column
+so every answer can be cross-checked.
 """
 
 from .betti import (
@@ -18,7 +18,7 @@ from .betti import (
     euler_char_ci,
 )
 from .graph import ComponentGraph, GraphError, corner_from_graph
-from .oracle import cone_local_derham_dims
+from .oracle import cone_local_derham_dims, gysin_last_column
 from .parser import ParseError, parse_variety
 from .table import LyubeznikTable, lyubeznik_table
 from .variety import (
@@ -64,6 +64,7 @@ __all__ = [
     "corner_from_graph",
     "dimension",
     "euler_char_ci",
+    "gysin_last_column",
     "lyubeznik_table",
     "parse_variety",
     "render",

@@ -7,8 +7,8 @@ Subcommands:
     graph <file>     corner entry from a component-intersection JSON file
 
 Exit codes: 0 success, 1 user error (running out of memory included),
-2 internal failure (the two routes disagree, the table's alternating sum
-is not 1, or an unexpected exception).
+2 internal failure (an exact-sequence route disagrees with the printed
+table, the Betti vector is not admissible, or an unexpected exception).
 Output is deterministic: identical invocations produce identical bytes.
 Every part of a document is built before its first write, so stdout stays
 empty on exit 1 or 2 unless the write itself failed.  Text and JSON
@@ -21,9 +21,10 @@ import codecs
 import io
 import sys
 
-from .betti import AdmissibilityError, InternalConsistencyError, betti
+from .betti import (AdmissibilityError, InternalConsistencyError, betti,
+                    check_lefschetz_admissible)
 from .graph import ComponentGraph, GraphError, corner_from_graph
-from .oracle import cone_local_derham_dims
+from .oracle import cone_local_derham_dims, gysin_last_column
 from .parser import ParseError, parse_variety
 from .table import LyubeznikTable, lyubeznik_table
 from .variety import SemanticError, dimension, render
@@ -163,27 +164,14 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
     table = lyubeznik_table(vec)
     verified = False
     if verify:
-        dims = cone_local_derham_dims(vec)
-        if dims != table.first_row[:r + 1]:
+        routes = cone_local_derham_dims(vec) + gysin_last_column(vec)
+        printed = table.first_row[:r + 1] + table.last_column()
+        if routes != printed:
+            k = next(k for k, v in enumerate(routes) if v != printed[k])
+            i, j = (0, k) if k <= r else (k - r, r + 1)
             raise InternalConsistencyError(
-                f"oracle mismatch for {render(expr)}: exact-sequence dims "
-                f"{dims} vs table first row {table.first_row[:r + 1]}")
-        # The table's alternating sum, sum of (-1)^(i-j) lambda_(i,j), is 1
-        # for every Lyubeznik table.  It reads the last column and the
-        # corner, which the oracle does not.  lambda_(0,j) has the sign
-        # (-1)^j and lambda_(i,d) the sign (-1)^(d-i), so lambda_(0,j) and
-        # lambda_(d+1-j,d) cancel where the last column mirrors the first
-        # row, and the sum is then the corner minus lambda_(0,1).
-        row, column = table.first_row, table.last_column()
-        if column[:-1] == row[:1:-1]:
-            total = column[-1] - row[1]
-        else:
-            total = (sum(row[::2]) - sum(row[1::2])
-                     + sum(column[::-2]) - sum(column[-2::-2]))
-        if total != 1:
-            raise InternalConsistencyError(
-                f"alternating sum check fails for {render(expr)}: "
-                f"the table's alternating sum is {total}, not 1")
+                f"oracle mismatch for {render(expr)}: lambda_({i},{j}) is "
+                f"{routes[k]} by the exact sequences, {printed[k]} in the table")
         verified = True
     if fmt == "csv":
         out.write(_csv_text("i,j,lambda\n", "%d,%d,%d\n", table.nonzero()))
@@ -195,9 +183,10 @@ def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
 
 def cmd_betti(expr_text: str, fmt: str = "text", out=None,
               max_dim: int = _DEFAULT_MAX_DIM) -> int:
-    """Parse and print the Betti vector."""
+    """Parse, check admissibility and print the Betti vector."""
     out = out if out is not None else sys.stdout
     expr, vec = _parse_bounded(expr_text, max_dim)
+    check_lefschetz_admissible(vec)
     if fmt == "json":
         out.write(_opening_json(expr, vec) + "\n}\n")
     elif fmt == "csv":
@@ -211,6 +200,7 @@ def cmd_oracle(expr_text: str, out=None, max_dim: int = _DEFAULT_MAX_DIM) -> int
     """Parse and print the exact-sequence dimensions at the cone vertex."""
     out = out if out is not None else sys.stdout
     expr, vec = _parse_bounded(expr_text, max_dim)
+    check_lefschetz_admissible(vec)
     dims = cone_local_derham_dims(vec)
     out.write(_opening_text(expr, vec, f"vertex local de Rham dims: {dims}"))
     return 0

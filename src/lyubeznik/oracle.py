@@ -1,4 +1,4 @@
-"""Exact-sequence cross-check for the first row of the table.
+"""Exact-sequence routes to the first row and the last column of the table.
 
 ``cone_local_derham_dims`` recomputes dim H^j at the cone vertex for
 j = 0..r by pure dimension bookkeeping.  Degree 0 vanishes; degree 1
@@ -6,12 +6,16 @@ comes from the sequence 0 -> k -> H^0(V) -> H^1_vertex -> 0, which
 relates the vertex to the global functions; every later degree sits in
 a short exact sequence 0 -> H^{j-3}(V) -> H^{j-1}(V) -> H^j_vertex -> 0
 whose only geometric input is that cup product with the hyperplane class
-is injective below the middle degree.  So each H^j_vertex is the
-cokernel of an injective map, and its dimension is the dimension of the
-target minus that of the source: the alternating-sum rule for a short
-exact sequence.  The table code and its closed-form first-row formulas
-are never consulted; agreement of the two routes is the package's
-central self-check.
+is injective below the middle degree.  So each dimension is that of the
+target minus that of the source: the differences the table writes for
+its first row, restated in code of their own.
+
+``gysin_last_column`` reads the upper half of the Betti vector, which the
+table never reads.  Above the middle degree cup product with the
+hyperplane class is onto, so the Gysin sequence of the punctured cone U
+breaks into 0 -> H^m(U) -> H^{m-1}(V) -> H^{m+1}(V) -> 0 for m >= r + 2.
+The table code is never consulted; agreement of both routes with the
+printed table is the package's central self-check.
 """
 
 from operator import sub
@@ -44,3 +48,16 @@ def cone_local_derham_dims(b: BettiVector) -> tuple:
             f"exact sequence in degree {j} forces the negative dimension {dims[j]}; "
             f"a required rank exceeds its target")
     return dims
+
+
+def gysin_last_column(b: BettiVector) -> tuple:
+    """The last column lambda_{1,d}, ..., lambda_{d,d}, d = r + 1: zero,
+    then dim H^{p+r}(U) = beta_{p+r-1} - beta_{p+r+1} for p = 2..d, so the
+    corner is beta_{2r}.
+
+    >>> gysin_last_column(BettiVector(2, (1, 2, 2, 2, 1)))
+    (0, 2, 1)
+    """
+    r, beta = b.dim, b.betti
+    # beta_{m+1} is zero past the top degree 2r, hence the padding.
+    return (0, *map(sub, beta[r + 1:], beta[r + 3:] + (0, 0)))

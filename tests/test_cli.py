@@ -17,6 +17,7 @@ import pytest
 import lyubeznik.cli as cli
 from corpus import corpus
 from lyubeznik import (
+    Curve,
     InternalConsistencyError,
     ParseError,
     betti,
@@ -99,6 +100,14 @@ def _printed_grid(fmt: str, out: str) -> list:
     return grid
 
 
+# Wrong mirrors that LyubeznikTable._mirror could hold: shifted by one
+# entry, and not reversed.
+_MIRROR_MUTANTS = {
+    "shifted": lambda row, corner: (*row[-2:0:-1], corner),
+    "unreversed": lambda row, corner: (*row[2:], corner),
+}
+
+
 @pytest.mark.parametrize("text", ["Curve(1) x P(1)", "Ab(64)"])
 def test_a_wrong_mirror_reaches_every_format(text, monkeypatch):
     # The last column is written once, in LyubeznikTable._mirror; every
@@ -113,38 +122,41 @@ def test_a_wrong_mirror_reaches_every_format(text, monkeypatch):
         return {fmt: out.getvalue() for fmt, out in outs.items()}
 
     right = documents()
-    monkeypatch.setattr(table_module.LyubeznikTable, "_mirror",
-                        staticmethod(lambda row, corner: (*row[-2:0:-1], corner)))
-    table = table_module.lyubeznik_table(betti(parse_variety(text)))
-    wrong = documents()
-    for fmt, out in wrong.items():
-        assert out != right[fmt], fmt
-        grid = _printed_grid(fmt, out)
-        assert tuple(row[-1] for row in grid[1:]) == table.last_column(), fmt
-        assert tuple((i, j, v) for i, row in enumerate(grid)
-                     for j, v in enumerate(row) if v) == table.nonzero(), fmt
-    assert tuple(map(tuple, json.loads(wrong["json"])["nonzero"])) == table.nonzero()
+    for name, mirror in _MIRROR_MUTANTS.items():
+        monkeypatch.setattr(table_module.LyubeznikTable, "_mirror", staticmethod(mirror))
+        table = table_module.lyubeznik_table(betti(parse_variety(text)))
+        wrong = documents()
+        for fmt, out in wrong.items():
+            assert out != right[fmt], (name, fmt)
+            grid = _printed_grid(fmt, out)
+            assert tuple(row[-1] for row in grid[1:]) == table.last_column(), (name, fmt)
+            assert tuple((i, j, v) for i, row in enumerate(grid)
+                         for j, v in enumerate(row) if v) == table.nonzero(), (name, fmt)
+        assert tuple(map(tuple, json.loads(wrong["json"])["nonzero"])) == table.nonzero()
 
 
-def _alternating_sum_failure(text, total):
-    return (f"internal consistency failure: alternating sum check fails for {text}: "
-            f"the table's alternating sum is {total}, not 1\n")
+def _oracle_mismatch(text, i, j, route, printed):
+    return (f"internal consistency failure: oracle mismatch for {text}: "
+            f"lambda_({i},{j}) is {route} by the exact sequences, {printed} in the table\n")
 
 
-@pytest.mark.parametrize("text, total", [
-    ("Curve(1) x P(1)", 5), ("Ab(64)", 2143878806550206018786961703060636803)])
-def test_a_wrong_mirror_fails_the_alternating_sum(text, total, monkeypatch, capsys):
-    # The oracle checks the first row only; the alternating sum reads the
-    # last column, so a mirror shifted by one entry exits 2 in every format.
+@pytest.mark.parametrize("mutant, text, err", [
+    ("shifted", "Curve(1) x P(1)", _oracle_mismatch("Curve(1) x P(1)", 1, 3, 0, 2)),
+    ("shifted", "Ab(64)", _oracle_mismatch(
+        "Ab(64)", 1, 65, 0, 2751844438258473397248935917361414400)),
+    ("unreversed", "Ab(3)", _oracle_mismatch("Ab(3)", 1, 4, 0, 6)),
+], ids=["shifted-Curve(1) x P(1)", "shifted-Ab(64)", "unreversed-Ab(3)"])
+def test_a_wrong_mirror_fails_the_exact_sequences(mutant, text, err, monkeypatch, capsys):
+    # The Gysin route gives the last column from the upper half of the Betti
+    # vector, so a mirror that changes any entry exits 2 in every format.
     table_module = importlib.import_module("lyubeznik.table")
     monkeypatch.setattr(table_module.LyubeznikTable, "_mirror",
-                        staticmethod(lambda row, corner: (*row[-2:0:-1], corner)))
+                        staticmethod(_MIRROR_MUTANTS[mutant]))
     for fmt in ("text", "json", "csv"):
-        assert run(["compute", text, "--format", fmt], capsys) == (
-            2, "", _alternating_sum_failure(text, total))
+        assert run(["compute", text, "--format", fmt], capsys) == (2, "", err)
 
 
-def test_a_wrong_corner_fails_the_alternating_sum(monkeypatch, capsys):
+def test_a_wrong_corner_fails_the_exact_sequences(monkeypatch, capsys):
     table_module = importlib.import_module("lyubeznik.table")
 
     def corner_plus_one(vec):
@@ -153,7 +165,7 @@ def test_a_wrong_corner_fails_the_alternating_sum(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "lyubeznik_table", corner_plus_one)
     assert run(["compute", "Curve(1) x P(1)"], capsys) == (
-        2, "", _alternating_sum_failure("Curve(1) x P(1)", 2))
+        2, "", _oracle_mismatch("Curve(1) x P(1)", 3, 3, 1, 2))
 
 
 def test_compute_no_verify(capsys):
@@ -279,6 +291,16 @@ def test_oracle_command(capsys):
     code, out, _ = run(["oracle", "Curve(1) x P(1)"], capsys)
     assert code == 0
     assert out.endswith("vertex local de Rham dims: (0, 0, 2)\n")
+
+
+@pytest.mark.parametrize("command", ["betti", "oracle"])
+def test_betti_and_oracle_refuse_an_inadmissible_vector(command, monkeypatch, capsys):
+    # A Curve with beta_1 one too large breaks Hodge parity; compute refused
+    # it through the table, and betti and oracle must refuse it as well.
+    betti_module = importlib.import_module("lyubeznik.betti")
+    monkeypatch.setitem(betti_module._ATOM_BETTI, Curve, lambda a: (1, 2 * a.g + 1, 1))
+    assert run([command, "Curve(2) x P(1)"], capsys) == (
+        2, "", "internal consistency failure: Hodge parity fails: beta_1 = 5 is odd\n")
 
 
 # --- graph ----------------------------------------------------------------------

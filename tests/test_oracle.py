@@ -1,4 +1,5 @@
-"""Exact-sequence oracle: hand-walked goldens and equivalence with the table."""
+"""Exact-sequence oracle: hand-walked goldens and equivalence with the table
+and with the benchmark's independent checker."""
 
 import ast
 from pathlib import Path
@@ -7,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import variety_exprs
+from corpus import corpus
 from lyubeznik import (
     AdmissibilityError,
     BettiVector,
     DisjointUnion,
     betti,
     cone_local_derham_dims,
+    gysin_last_column,
     lyubeznik_table,
 )
+from reference import checker, checker_tree
 
 
 def test_hand_walked_goldens():
@@ -23,6 +27,17 @@ def test_hand_walked_goldens():
     assert cone_local_derham_dims(BettiVector(2, (1, 0, 1, 0, 1))) == (0, 0, 0)
     assert cone_local_derham_dims(BettiVector(1, (1, 4, 1))) == (0, 0)
     assert cone_local_derham_dims(BettiVector(1, (3, 0, 3))) == (0, 2)
+
+
+def test_gysin_hand_walked_goldens():
+    # 0 -> H^m(U) -> H^{m-1}(V) -> H^{m+1}(V) -> 0 for m = r + 2..2r + 1;
+    # lambda_{1,d} is 0 and beta_{2r+1} = beta_{2r+2} = 0.
+    assert gysin_last_column(BettiVector(2, (1, 2, 2, 2, 1))) == (0, 2, 1)
+    assert gysin_last_column(BettiVector(2, (1, 0, 1, 0, 1))) == (0, 0, 1)
+    assert gysin_last_column(BettiVector(1, (1, 4, 1))) == (0, 1)
+    assert gysin_last_column(BettiVector(1, (3, 0, 3))) == (0, 3)
+    # Curve(1) x P(2): (1, 2, 2, 2, 2, 2, 1) gives beta_4 - beta_6, beta_5, beta_6
+    assert gysin_last_column(BettiVector(3, (1, 2, 2, 2, 2, 2, 1))) == (0, 1, 2, 1)
 
 
 def test_length_is_dimension_plus_one():
@@ -43,6 +58,23 @@ def test_oracle_matches_table_first_row(expr):
     table = lyubeznik_table(vec)
     dims = cone_local_derham_dims(vec)
     assert dims == tuple(table[0, j] for j in range(vec.dim + 1))
+
+
+@settings(max_examples=150)
+@given(variety_exprs())
+def test_gysin_route_matches_table_last_column(expr):
+    vec = betti(expr)
+    assert gysin_last_column(vec) == lyubeznik_table(vec).last_column()
+
+
+def test_routes_match_the_checker_on_the_corpora():
+    exprs = [*corpus(), *corpus(max_dim=64)]
+    assert len(exprs) == 480
+    for expr in exprs:
+        r, _, rows = checker.table(checker_tree(expr))
+        vec = betti(expr)
+        assert cone_local_derham_dims(vec) == tuple(rows[0][:r + 1])
+        assert gysin_last_column(vec) == tuple([row[r + 1] for row in rows[1:]])
 
 
 @settings(max_examples=80)
