@@ -95,8 +95,8 @@ _AFTER = ("'x'", "'+'", "end of input")
 
 _ATOMS = {cls.name: cls for cls in Atom.__subclasses__()}
 
-# The input's nesting bound; the scanner keeps a list frame per open parenthesis.
-_MAX_DEPTH = 200
+# Read with ``str.translate``, a run of "(" and blanks is one run of blanks.
+_OPEN_AS_BLANK = {ord("("): " "}
 
 
 def parse_variety(text: str) -> VarietyExpr:
@@ -139,8 +139,11 @@ def _scan(text: str) -> VarietyExpr:
         if hit is None:
             tail = part.lstrip()
             op, tail, opens = tail[:1], tail[1:].lstrip(), 0
-            while tail[:1] == "(":
-                tail, opens = tail[1:].lstrip(), opens + 1
+            if tail[:1] == "(":  # one "(" as a slice, a longer run in one pass
+                tail, opens = tail[1:].lstrip(), 1
+                if tail[:1] == "(":
+                    k = len(tail) - len(tail.translate(_OPEN_AS_BLANK).lstrip())
+                    tail, opens = tail[k:], 1 + tail.count("(", 0, k)
         else:
             op, opens, atom = hit
         if op == "x":
@@ -162,9 +165,6 @@ def _scan(text: str) -> VarietyExpr:
                 known[part] = "", 0, None
             continue
         if opens:
-            if len(stack) + opens > _MAX_DEPTH:  # stop at the first "(" too deep
-                deep = part.split("(", _MAX_DEPTH + 1 - len(stack))[-1]
-                raise _syntax_error(text, _offset(parts, pieces, part, len(deep) + 1), ())
             stack += [(union, prod)] + [(None, None)] * (opens - 1)
             union = prod = None
         if hit is None:
@@ -211,16 +211,14 @@ def _span_atom(tail: str, atoms: dict):
 
 def _syntax_error(text: str, offset: int, expected: tuple) -> ParseError:
     """The error for the scanner's stop at ``offset``, where it would have
-    accepted ``expected`` (empty: a "(" beyond ``_MAX_DEPTH``).  The whole
-    text is lexed, so a bad character anywhere is reported instead; a
-    constructor span the scanner refused is walked to its first bad token."""
+    accepted ``expected``.  The whole text is lexed, so a bad character
+    anywhere is reported instead; a constructor span the scanner refused
+    is walked to its first bad token."""
     toks = _lex(text)
     k = 0
     while toks[k][2] < offset:
         k += 1
     kind, word, pos = toks[k]
-    if not expected:
-        return ParseError("parenthesis nesting too deep", pos)
     if expected is _OPERAND and kind == "NAME":
         if word not in _ATOMS:
             return ParseError(f"unknown constructor {word!r}", pos, tuple(_ATOMS))

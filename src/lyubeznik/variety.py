@@ -338,7 +338,9 @@ def dimension(expr: VarietyExpr) -> int:
 
 
 def render(expr: VarietyExpr) -> str:
-    """Canonical text for ``expr``; parses back to an equal tree.
+    """Canonical text for ``expr``; parses back to an equal tree, at any
+    depth, unless an argument has more than 2000 digits, which the parser's
+    literal rule refuses.
 
     The product operator binds tighter than the union operator and both
     associate to the left, so parentheses appear only where the shape

@@ -67,6 +67,15 @@ def test_compute_csv(capsys):
     assert rows[1:] == [["0", "2", "2"], ["2", "3", "2"], ["3", "3", "1"]]
 
 
+def test_compute_reads_back_a_rendered_deep_union(capsys):
+    # 202 right-nested unions, as render writes them: one "(" per level.
+    text = "P(1)"
+    for _ in range(202):
+        text = f"P(1) + ({text})"
+    code, out, err = run(["compute", text, "--format", "csv"], capsys)
+    assert (code, out, err) == (0, "i,j,lambda\n0,1,202\n2,2,203\n", "")
+
+
 def test_compute_formats_agree(capsys):
     _, text_out, _ = run(["compute", "Gr(2,4)"], capsys)
     _, json_out, _ = run(["compute", "Gr(2,4)", "--format", "json"], capsys)

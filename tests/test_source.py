@@ -107,3 +107,26 @@ def test_every_private_module_name_is_loaded():
                         if target.startswith("_") and not target.startswith("__")
                         and target not in loaded]
     assert orphans == []
+
+
+def _is_super_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "super")
+
+
+def test_no_function_calls_itself():
+    """No tree walk and no parser step recurses, so the depth of a tree or
+    of a text's parentheses never meets the recursion limit.  A function
+    may call no name and no attribute equal to its own name, except its
+    parent class's method through ``super().<name>``."""
+    offenders = [
+        f"{source.name}:{node.lineno} {func.name}"
+        for source in _SOURCES
+        for func in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and ((isinstance(node.func, ast.Name) and node.func.id == func.name)
+             or (isinstance(node.func, ast.Attribute) and node.func.attr == func.name
+                 and not _is_super_call(node.func.value)))]
+    assert offenders == []
