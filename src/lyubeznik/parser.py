@@ -95,9 +95,6 @@ _AFTER = ("'x'", "'+'", "end of input")
 
 _ATOMS = {cls.name: cls for cls in Atom.__subclasses__()}
 
-# Read with ``str.translate``, a run of "(" and blanks is one run of blanks.
-_OPEN_AS_BLANK = {ord("("): " "}
-
 
 def parse_variety(text: str) -> VarietyExpr:
     """Parse ``text`` into a variety expression.
@@ -139,11 +136,9 @@ def _scan(text: str) -> VarietyExpr:
         if hit is None:
             tail = part.lstrip()
             op, tail, opens = tail[:1], tail[1:].lstrip(), 0
-            if tail[:1] == "(":  # one "(" as a slice, a longer run in one pass
-                tail, opens = tail[1:].lstrip(), 1
-                if tail[:1] == "(":
-                    k = len(tail) - len(tail.translate(_OPEN_AS_BLANK).lstrip())
-                    tail, opens = tail[k:], 1 + tail.count("(", 0, k)
+            if tail[:1] == "(":  # the whole run of "(" in one pass
+                k = len(tail) - len(tail.replace("(", " ").lstrip())
+                tail, opens = tail[k:], tail.count("(", 0, k)
         else:
             op, opens, atom = hit
         if op == "x":
