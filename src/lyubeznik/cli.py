@@ -52,7 +52,7 @@ def _opening_text(expr, vec, last: str) -> str:
     return f"expression: {render(expr)}\ndimension: {vec.dim}\n{last}\n"
 
 
-def _document_text(expr, vec, table: LyubeznikTable, verified: bool):
+def _document_text(expr, vec, table: LyubeznikTable):
     """The parts of the text document, and the length of a table line."""
     d = table.dim_a
     top = [str(v) for v in table.first_row]
@@ -61,8 +61,7 @@ def _document_text(expr, vec, table: LyubeznikTable, verified: bool):
     width = max(len(indices[-1]), *map(len, top), len(corner))
     label_width = max(len("i\\j"), len(indices[-1]))
     cells = [cell.rjust(width) for cell in top]
-    opening = (_opening_text(expr, vec, f"betti: {vec}")
-               + f"verified: {'yes' if verified else 'skipped'}\n\n")
+    opening = _opening_text(expr, vec, f"betti: {vec}\nverified: yes\n")
     line = ("i\\j".rjust(label_width) + " | "
             + " ".join([j.rjust(width) for j in indices]) + "\n")
     # Rows 1..d are their label, one shared run of d zeros and their
@@ -101,7 +100,7 @@ def _opening_json(expr, vec) -> str:
 _JSON_TRIPLE = "[\n      %d,\n      %d,\n      %d\n    ]"
 
 
-def _document_json(expr, vec, table: LyubeznikTable, verified: bool):
+def _document_json(expr, vec, table: LyubeznikTable):
     """The parts of the JSON document, and the length of its longest table
     row after the first."""
     top = [str(v) for v in table.first_row]
@@ -118,7 +117,7 @@ def _document_json(expr, vec, table: LyubeznikTable, verified: bool):
         *rows,
         '\n  ],\n  "nonzero": '
         + _json_array([_JSON_TRIPLE % e for e in table.nonzero()], 1)
-        + f',\n  "verified": {"true" if verified else "false"}\n}}\n',
+        + ',\n  "verified": true\n}\n',
     ], len(rows[0]) + max(map(len, cells))
 
 
@@ -155,29 +154,26 @@ def _parse_bounded(expr_text: str, max_dim: int):
     return expr, vec
 
 
-def cmd_compute(expr_text: str, fmt: str = "text", verify: bool = True,
+def cmd_compute(expr_text: str, fmt: str = "text", *,
                 max_dim: int = _DEFAULT_MAX_DIM, out=None) -> int:
-    """Parse, compute the table, optionally cross-check, and print."""
+    """Parse, compute the table, cross-check it, and print."""
     out = out if out is not None else sys.stdout
     expr, vec = _parse_bounded(expr_text, max_dim)
     r = vec.dim
     table = lyubeznik_table(vec)
-    verified = False
-    if verify:
-        routes = cone_local_derham_dims(vec) + gysin_last_column(vec)
-        printed = table.first_row[:r + 1] + table.last_column()
-        if routes != printed:
-            k = next(k for k, v in enumerate(routes) if v != printed[k])
-            i, j = (0, k) if k <= r else (k - r, r + 1)
-            raise InternalConsistencyError(
-                f"oracle mismatch for {render(expr)}: lambda_({i},{j}) is "
-                f"{routes[k]} by the exact sequences, {printed[k]} in the table")
-        verified = True
+    routes = cone_local_derham_dims(vec) + gysin_last_column(vec)
+    printed = table.first_row[:r + 1] + table.last_column()
+    if routes != printed:
+        k = next(k for k, v in enumerate(routes) if v != printed[k])
+        i, j = (0, k) if k <= r else (k - r, r + 1)
+        raise InternalConsistencyError(
+            f"oracle mismatch for {render(expr)}: lambda_({i},{j}) is "
+            f"{routes[k]} by the exact sequences, {printed[k]} in the table")
     if fmt == "csv":
         out.write(_csv_text("i,j,lambda\n", "%d,%d,%d\n", table.nonzero()))
     else:
         writer = _document_json if fmt == "json" else _document_text
-        _write_parts(out, *writer(expr, vec, table, verified))
+        _write_parts(out, *writer(expr, vec, table))
     return 0
 
 
@@ -258,11 +254,9 @@ def _build_arg_parser():
     compute.add_argument("expr", help='variety expression, e.g. "Curve(1) x P(1)"')
     compute.add_argument("--format", choices=("text", "json", "csv"),
                          default="text")
-    compute.add_argument("--no-verify", action="store_true",
-                         help="skip the exact-sequence cross-check")
     _add_max_dim(compute)
-    compute.set_defaults(handler=lambda a: cmd_compute(
-        a.expr, a.format, not a.no_verify, a.max_dim))
+    compute.set_defaults(
+        handler=lambda a: cmd_compute(a.expr, a.format, max_dim=a.max_dim))
 
     betti_cmd = sub.add_parser("betti", help="Betti vector only")
     betti_cmd.add_argument("expr")
@@ -288,11 +282,11 @@ def _build_arg_parser():
 
 def main(argv=None) -> int:
     # Every bound of the program assumes Python's default int/str limit, so
-    # a lower one set by the user (PYTHONINTMAXSTRDIGITS, -X
-    # int_max_str_digits) is raised for the run, and restored after it.
+    # whatever limit the user set (PYTHONINTMAXSTRDIGITS, -X
+    # int_max_str_digits, none at all) is replaced by it for the run, and
+    # restored after it.
     limit = sys.get_int_max_str_digits()
-    if 0 < limit < MAX_INT_DIGITS:
-        sys.set_int_max_str_digits(MAX_INT_DIGITS)
+    sys.set_int_max_str_digits(MAX_INT_DIGITS)
     try:
         return _run(argv)
     finally:

@@ -186,7 +186,7 @@ def _span_atom(tail: str, atoms: dict):
     or None where it is no well-formed constructor.  Atoms are shared
     through ``atoms``, so ``P(1``, ``P( 1`` and ``P(01`` are one object."""
     name, paren, args = tail.partition("(")
-    cls = _ATOMS.get(name) or _ATOMS.get(name.rstrip())
+    cls = _ATOMS.get(name.rstrip())
     if cls is None or not paren:
         return None
     first, semi, rest = args.partition(";")

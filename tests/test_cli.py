@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -121,13 +122,17 @@ _MIRROR_MUTANTS = {
 def test_a_wrong_mirror_reaches_every_format(text, monkeypatch):
     # The last column is written once, in LyubeznikTable._mirror; every
     # format prints it through the table, so a patched mirror changes them all.
+    # The Gysin route is patched to read the table's own last column, so the
+    # cross-check passes and the wrong documents are printed.
     table_module = importlib.import_module("lyubeznik.table")
+    monkeypatch.setattr(cli, "gysin_last_column",
+                        lambda vec: lyubeznik_table(vec).last_column())
 
     def documents():
         outs = {}
         for fmt in ("text", "json", "csv"):
             outs[fmt] = io.StringIO()
-            assert cli.cmd_compute(text, fmt, verify=False, out=outs[fmt]) == 0
+            assert cli.cmd_compute(text, fmt, out=outs[fmt]) == 0
         return {fmt: out.getvalue() for fmt, out in outs.items()}
 
     right = documents()
@@ -177,18 +182,6 @@ def test_a_wrong_corner_fails_the_exact_sequences(monkeypatch, capsys):
         2, "", _oracle_mismatch("Curve(1) x P(1)", 3, 3, 1, 2))
 
 
-def test_compute_no_verify(capsys):
-    code, out, _ = run(
-        ["compute", "P(2)", "--format", "json", "--no-verify"], capsys)
-    assert code == 0
-    assert json.loads(out)["verified"] is False
-
-
-def test_compute_text_reports_skipped_verification(capsys):
-    _, out, _ = run(["compute", "P(2)", "--no-verify"], capsys)
-    assert "verified: skipped" in out
-
-
 def test_compute_max_dim_guard(capsys):
     code, _, err = run(["compute", "P(9)", "--max-dim", "8"], capsys)
     assert code == 1
@@ -222,16 +215,15 @@ def test_large_documents_are_written_in_bounded_slices(text):
     expr = parse_variety(text)
     vec = betti(expr)
     table = lyubeznik_table(vec)
-    for verify in (True, False):
-        expected = reference_outputs(text, verify)
-        for fmt, document in (("text", cli._document_text), ("json", cli._document_json)):
-            sink = _RecordingSink()
-            assert cli.cmd_compute(text, fmt, verify, max_dim=vec.dim, out=sink) == 0
-            assert "".join(sink.writes) == expected[fmt], (fmt, verify)
-            parts, row = document(expr, vec, table, verify)
-            assert max(map(len, parts[1:-1])) <= row
-            assert len(sink.writes) >= 3
-            assert max(map(len, sink.writes)) <= cli._WRITE_BYTES + max(map(len, parts))
+    expected = reference_outputs(text)
+    for fmt, document in (("text", cli._document_text), ("json", cli._document_json)):
+        sink = _RecordingSink()
+        assert cli.cmd_compute(text, fmt, max_dim=vec.dim, out=sink) == 0
+        assert "".join(sink.writes) == expected[fmt], fmt
+        parts, row = document(expr, vec, table)
+        assert max(map(len, parts[1:-1])) <= row
+        assert len(sink.writes) >= 3
+        assert max(map(len, sink.writes)) <= cli._WRITE_BYTES + max(map(len, parts))
 
 
 def test_default_documents_are_one_write():
@@ -501,9 +493,7 @@ def test_help_exits_zero(capsys):
 
 _USAGE = "usage: lyubeznik [-h] {compute,betti,oracle,graph} ...\n"
 _COMPUTE_USAGE = (
-    "usage: lyubeznik compute [-h] [--format {text,json,csv}] [--no-verify]\n"
-    "                         [--max-dim N]\n"
-    "                         expr\n")
+    "usage: lyubeznik compute [-h] [--format {text,json,csv}] [--max-dim N] expr\n")
 
 # argv, then the exact stdout, stderr and exit code of main(argv).
 _HELP_AND_USAGE_BYTES = [
@@ -528,7 +518,6 @@ _HELP_AND_USAGE_BYTES = [
      "options:\n"
      "  -h, --help            show this help message and exit\n"
      "  --format {text,json,csv}\n"
-     "  --no-verify           skip the exact-sequence cross-check\n"
      "  --max-dim N           largest accepted dimension (default 64)\n", "", 0),
     (["betti", "--help"],
      "usage: lyubeznik betti [-h] [--format {text,json,csv}] [--max-dim N] expr\n"
@@ -573,6 +562,8 @@ _HELP_AND_USAGE_BYTES = [
      "lyubeznik: error: unrecognized arguments: P(3)\n", 1),
     (["compute", "P(2)", "--verbose"], "", _USAGE +
      "lyubeznik: error: unrecognized arguments: --verbose\n", 1),
+    (["compute", "P(2)", "--no-verify"], "", _USAGE +
+     "lyubeznik: error: unrecognized arguments: --no-verify\n", 1),
 ]
 
 
@@ -585,6 +576,21 @@ def test_help_and_usage_bytes(argv, out, err, code, monkeypatch, capsys):
     assert run(argv, capsys) == (code, out, err)
 
 
+def test_readme_synopses_name_the_parsers_options(capsys):
+    # Each subcommand bullet of README's "Command line" section names the
+    # long options of that subcommand's --help, and no others.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    bullets = [item.split("\n\n")[0] for item in section.split("\n- `")[1:]]
+    commands = [item.split()[0] for item in bullets]
+    assert commands == ["compute", "betti", "oracle", "graph"]
+    for command, item in zip(commands, bullets):
+        code, out, _ = run([command, "--help"], capsys)
+        assert code == 0
+        assert set(re.findall(r"--[a-z-]+", item)) == (
+            set(re.findall(r"--[a-z-]+", out)) - {"--help"}), command
+
+
 def test_oracle_mismatch_exits_two(monkeypatch, capsys):
     # force a wrong oracle answer to prove the cross-check wiring trips
     monkeypatch.setattr(cli, "cone_local_derham_dims",
@@ -593,9 +599,6 @@ def test_oracle_mismatch_exits_two(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("internal consistency failure:")
-    # --no-verify skips the broken check entirely
-    code, out, _ = run(["compute", "Curve(1) x P(1)", "--no-verify"], capsys)
-    assert code == 0
 
 
 # --- bounds and robustness ------------------------------------------------------
@@ -799,44 +802,64 @@ def test_large_documents_run_in_memory_that_grows_with_r(fmt):
 
 
 def test_a_lower_int_str_limit_changes_no_byte(tmp_path):
-    # main() raises a lower int/str digit limit for its run, so the same
-    # argv gives the same exit code and bytes under PYTHONINTMAXSTRDIGITS.
+    # main() pins the int/str digit limit to 4300 for its run, so the same
+    # argv gives the same exit code and bytes whatever PYTHONINTMAXSTRDIGITS
+    # says: lower, none (0) or higher.  The ``refused`` argvs hold an integer
+    # of more than 4300 digits, which only a different limit would read.
     big, half = "1" + "0" * 700, "1" + "0" * 350
-    graph = tmp_path / "graph.json"
-    graph.write_text(f'{{"components": [{{"name": "A", "dim": {big}}}], '
-                     f'"intersections": []}}', encoding="utf-8")
+    graph, too_long = tmp_path / "graph.json", tmp_path / "too_long.json"
+    for path, dim in ((graph, big), (too_long, "1" + "0" * 5000)):
+        path.write_text(f'{{"components": [{{"name": "A", "dim": {dim}}}], '
+                        f'"intersections": []}}', encoding="utf-8")
     argvs = [["compute", f"Curve({big})", "--format", "csv"],
-             ["compute", f"Curve({half}) x Curve({half})", "--no-verify"],
+             ["compute", f"Curve({half}) x Curve({half})"],
              ["graph", str(graph)]]
     argvs += [["compute", render(expr), "--format", fmt]
               for expr, fmt in zip(corpus(max_dim=64)[:3], ("text", "json", "csv"))]
+    refused = [["graph", str(too_long)],
+               ["compute", "P(2)", "--format", "csv", "--max-dim", "9" * 5000]]
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONINTMAXSTRDIGITS"}
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    for argv in argvs:
-        default, lowered = (
-            subprocess.run([sys.executable, "-m", "lyubeznik", *argv], env=child_env,
-                           capture_output=True, text=True, timeout=60)
-            for child_env in (env, {**env, "PYTHONINTMAXSTRDIGITS": "640"}))
-        assert default.returncode == 0, default.stderr
-        assert (lowered.returncode, lowered.stdout, lowered.stderr) == (
-            default.returncode, default.stdout, default.stderr), argv[:2]
+
+    def outcome(argv, child_env):
+        done = subprocess.run([sys.executable, "-m", "lyubeznik", *argv], env=child_env,
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    for argv, code in [(argv, 0) for argv in argvs] + [(argv, 1) for argv in refused]:
+        default = outcome(argv, env)
+        assert default[0] == code, default
+        for digits in ("0", "640", "10000"):
+            assert outcome(argv, {**env, "PYTHONINTMAXSTRDIGITS": digits}) == default, (
+                argv[:2], digits)
 
 
 def test_main_restores_the_callers_int_str_limit(capsys):
-    # A caller of the cmd_* functions keeps its own limit, below the 4300
-    # digits that the program needs; main() raises it for its run only.
+    # main() uses the 4300 digits that the program needs for its run only,
+    # whatever the caller's limit; a caller of the cmd_* functions keeps its
+    # own, and below 4300 digits it refuses a 700-digit literal.
     text = "Curve(1" + "0" * 700 + ")"
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
     try:
-        assert main(["compute", text, "--format", "csv"]) == 0
-        assert capsys.readouterr().out == "i,j,lambda\n2,2,1\n"
-        assert sys.get_int_max_str_digits() == 640
+        for limit in (640, 0, 10000):
+            sys.set_int_max_str_digits(limit)
+            assert main(["compute", text, "--format", "csv"]) == 0
+            assert capsys.readouterr().out == "i,j,lambda\n2,2,1\n"
+            assert main(["compute", "P(2)", "--max-dim", "9" * 5000]) == 1
+            assert "invalid int value" in capsys.readouterr().err
+            assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(640)
         with pytest.raises(ValueError):
             cli.cmd_compute(text, "csv", out=io.StringIO())
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def test_cmd_compute_takes_its_options_by_keyword():
+    # A third positional argument is refused rather than read as max_dim.
+    with pytest.raises(TypeError):
+        cli.cmd_compute("P(2)", "csv", False)
 
 
 def _loaded_at_import(module, names):

@@ -27,7 +27,6 @@ _COMMANDS = st.sampled_from([
     ["compute", "--format", "text"],
     ["compute", "--format", "json"],
     ["compute", "--format", "csv"],
-    ["compute", "--format", "json", "--no-verify"],
     ["betti", "--format", "text"],
     ["betti", "--format", "json"],
     ["betti", "--format", "csv"],

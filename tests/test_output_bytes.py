@@ -6,7 +6,7 @@ Betti vector, the full (r+2) x (r+2) grid and the expression line from
 ``bench/checker.py``, which imports nothing from the program, and
 serializes them the way the dense writers did: ``json.dumps(...,
 indent=2)``, a per-cell text grid and ``csv.writer`` over a row-major
-scan.  Both must agree byte for byte, with verification on and off.
+scan.  Both must agree byte for byte.
 """
 
 import csv
@@ -23,12 +23,12 @@ from reference import checker, checker_tree
 WORST_CASES = ("Gr(8,16)", "Ab(64)", "Hyp(65,10)", "CI(67; 2,3,4)")
 
 
-def reference_text(expr, dim, betti_numbers, rows, verified):
+def reference_text(expr, dim, betti_numbers, rows):
     lines = [
         f"expression: {expr}",
         f"dimension: {dim}",
         "betti: (" + ", ".join(str(v) for v in betti_numbers) + ")",
-        f"verified: {'yes' if verified else 'skipped'}",
+        "verified: yes",
         "",
     ]
     d = len(rows) - 1
@@ -45,7 +45,7 @@ def reference_text(expr, dim, betti_numbers, rows, verified):
     return "\n".join(lines) + "\n"
 
 
-def reference_outputs(text, verified):
+def reference_outputs(text):
     tree = checker_tree(parse_variety(text))
     dim, betti_numbers, rows = checker.table(tree)
     nonzero = checker.nonzero(rows)
@@ -55,7 +55,7 @@ def reference_outputs(text, verified):
         "betti": betti_numbers,
         "table": rows,
         "nonzero": nonzero,
-        "verified": verified,
+        "verified": True,
     }
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -63,23 +63,21 @@ def reference_outputs(text, verified):
     writer.writerows(nonzero)
     return {
         "json": json.dumps(payload, indent=2) + "\n",
-        "text": reference_text(payload["expr"], dim, betti_numbers, rows, verified),
+        "text": reference_text(payload["expr"], dim, betti_numbers, rows),
         "csv": buf.getvalue(),
     }
 
 
-def computed(text, fmt, verify):
+def computed(text, fmt):
     out = io.StringIO()
-    assert cmd_compute(text, fmt, verify, out=out) == 0
+    assert cmd_compute(text, fmt, out=out) == 0
     return out.getvalue()
 
 
 def assert_same_bytes(texts):
     for text in texts:
-        for verify in (True, False):
-            expected = reference_outputs(text, verify)
-            for fmt, reference in expected.items():
-                assert computed(text, fmt, verify) == reference, (text, fmt, verify)
+        for fmt, reference in reference_outputs(text).items():
+            assert computed(text, fmt) == reference, (text, fmt)
 
 
 def test_corpus_bytes():
