@@ -5,8 +5,9 @@ spaces, Grassmannians, curves, abelian varieties, hypersurfaces, complete
 intersections, products, disjoint unions), computes exact de Rham Betti
 vectors, and fills in the complete table of Lyubeznik numbers of the
 local ring at the vertex of the affine cone.  Independent
-exact-sequence bookkeeping recomputes the first row and the last column
-so every answer can be cross-checked.
+exact-sequence bookkeeping recomputes the first row and the last column,
+and a count of connected components the corner, so every answer can be
+cross-checked.
 """
 
 from .betti import (

@@ -8,8 +8,9 @@ Poincare duality, the hard Lefschetz step inequalities and Hodge parity
 unknown origin.  An atom's vector is ``betti(Atom(...))``, so a bad
 argument raises the atom's ``SemanticError`` (a ``ValueError``); a
 product's or a union's is ``betti(Product(x, y))`` or
-``betti(DisjointUnion(x, y))``, which takes each chain of products, or of
-unions, in one step.  All functions are pure and values immutable.
+``betti(DisjointUnion(x, y))``.  The tree is walked by ``variety.fold``;
+this module gives only its steps.  All functions are pure and values
+immutable.
 
 A product's vector is the coefficient list of the product of its factors'
 Poincare polynomials (Kunneth).  ``_product`` multiplies a whole chain of
@@ -30,13 +31,12 @@ from .variety import (
     Abelian,
     CompleteIntersection,
     Curve,
-    DisjointUnion,
     Grassmannian,
     Hypersurface,
-    Product,
     ProjSpace,
     Value,
     VarietyExpr,
+    fold,
 )
 
 
@@ -284,49 +284,27 @@ _ATOM_BETTI = {
 }
 
 
+def _atom_vector(atom) -> tuple:
+    return _ATOM_BETTI[type(atom)](atom)
+
+
+def _sum_rows(vectors: list) -> tuple:
+    # A display allocates the result once, at its size.  Two operands stay
+    # on add: sum starts at 0, so it would copy the first entry once more.
+    return ((*map(add, *vectors),) if len(vectors) == 2
+            else (*map(sum, zip(*vectors)),))
+
+
 def betti(expr: VarietyExpr) -> BettiVector:
-    """Betti vector of an arbitrary variety expression: Kunneth at each
-    product and sums at each disjoint union, evaluated bottom-up.
+    """Betti vector of an arbitrary variety expression: the ``fold`` of
+    ``expr`` with each atom's numbers read by its exact type, ``_product``
+    (Kunneth) at each product chain and the entrywise sum at each union
+    chain.  One ``BettiVector`` is built, and checked, at the root.
 
-    The walk keeps its own stack, so the depth of the tree is not bounded by
-    the recursion limit.  A frame is a maximal run of joins of one kind,
-    left- or right-nested, read as one join of its operands in order: a
-    product chain is multiplied by one ``_product`` call, a union chain
-    summed in one step.  Any other node is an atom, read by its exact type;
-    each distinct atom object is expanded once per call, however often the
-    tree holds it.  One ``BettiVector`` is built, and checked, at the root.
-
+    >>> from lyubeznik.variety import DisjointUnion, Product
     >>> str(betti(Product(Curve(1), ProjSpace(1))))
     '(1, 2, 2, 2, 1)'
     >>> str(betti(DisjointUnion(DisjointUnion(ProjSpace(1), Curve(2)), Curve(1))))
     '(3, 6, 3)'
     """
-    # Each atom's vector by id: the tree keeps every atom alive, so no id is reused.
-    vectors = {}
-    # A frame is its join kind, its operands' values so far and its nodes still
-    # to visit, last one first; the root's frame has no kind and takes one value.
-    frames = []
-    kind, values, nodes = None, [], [expr]
-    while True:
-        while nodes:
-            node = nodes.pop()
-            cls = type(node)
-            if cls is kind:
-                nodes += (node.right, node.left)
-            elif cls is Product or cls is DisjointUnion:
-                frames.append((kind, values, nodes))
-                kind, values, nodes = cls, [], [node.right, node.left]
-            else:
-                vector = vectors.get(id(node))
-                if vector is None:
-                    vector = vectors[id(node)] = _ATOM_BETTI[cls](node)
-                values.append(vector)
-        if kind is None:
-            return BettiVector(expr.dim, values[0])
-        # A display allocates the result once, at its size.  Two operands stay
-        # on add: sum starts at 0, so it would copy the first entry once more.
-        value = (_product(values) if kind is Product
-                 else (*map(add, *values),) if len(values) == 2
-                 else (*map(sum, zip(*values)),))
-        kind, values, nodes = frames.pop()
-        values.append(value)
+    return BettiVector(expr.dim, fold(expr, _atom_vector, _product, _sum_rows))

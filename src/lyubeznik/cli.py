@@ -7,8 +7,9 @@ Subcommands:
     graph <file>     corner entry from a component-intersection JSON file
 
 Exit codes: 0 success, 1 user error (running out of memory included),
-2 internal failure (an exact-sequence route disagrees with the printed
-table, the Betti vector is not admissible, or an unexpected exception).
+2 internal failure (an exact-sequence route or the component count
+disagrees with the printed table, the Betti vector is not admissible, or
+an unexpected exception).
 Output is deterministic: identical invocations produce identical bytes.
 Every part of a document is built before its first write, so stdout stays
 empty on exit 1 or 2 unless the write itself failed.  Text and JSON
@@ -24,7 +25,7 @@ import sys
 from .betti import (AdmissibilityError, InternalConsistencyError, betti,
                     check_lefschetz_admissible)
 from .graph import ComponentGraph, GraphError, corner_from_graph
-from .oracle import cone_local_derham_dims, gysin_last_column
+from .oracle import component_count, cone_local_derham_dims, gysin_last_column
 from .parser import ParseError, parse_variety
 from .table import LyubeznikTable, lyubeznik_table
 from .variety import SemanticError, dimension, render
@@ -161,14 +162,17 @@ def cmd_compute(expr_text: str, fmt: str = "text", *,
     expr, vec = _parse_bounded(expr_text, max_dim)
     r = vec.dim
     table = lyubeznik_table(vec)
-    routes = cone_local_derham_dims(vec) + gysin_last_column(vec)
-    printed = table.first_row[:r + 1] + table.last_column()
+    routes = (cone_local_derham_dims(vec) + gysin_last_column(vec)
+              + (component_count(expr),))
+    printed = table.first_row[:r + 1] + table.last_column() + (table.corner,)
     if routes != printed:
+        # The exact sequences give entries 0..2r + 1, the count the last.
         k = next(k for k, v in enumerate(routes) if v != printed[k])
-        i, j = (0, k) if k <= r else (k - r, r + 1)
+        i, j = (0, k) if k <= r else (min(k - r, r + 1), r + 1)
+        route = "the exact sequences" if k <= 2 * r + 1 else "the component count"
         raise InternalConsistencyError(
             f"oracle mismatch for {render(expr)}: lambda_({i},{j}) is "
-            f"{routes[k]} by the exact sequences, {printed[k]} in the table")
+            f"{routes[k]} by {route}, {printed[k]} in the table")
     if fmt == "csv":
         out.write(_csv_text("i,j,lambda\n", "%d,%d,%d\n", table.nonzero()))
     else:

@@ -1,4 +1,4 @@
-"""Exact-sequence routes to the first row and the last column of the table.
+"""Routes to the first row, the last column and the corner of the table.
 
 ``cone_local_derham_dims`` recomputes dim H^j at the cone vertex for
 j = 0..r by pure dimension bookkeeping.  Degree 0 vanishes; degree 1
@@ -14,13 +14,19 @@ its first row, restated in code of their own.
 table never reads.  Above the middle degree cup product with the
 hyperplane class is onto, so the Gysin sequence of the punctured cone U
 breaks into 0 -> H^m(U) -> H^{m-1}(V) -> H^{m+1}(V) -> 0 for m >= r + 2.
-The table code is never consulted; agreement of both routes with the
-printed table is the package's central self-check.
+
+``component_count`` reads no Betti vector at all: it counts the connected
+components of V on the expression tree, whose number is the corner
+lambda_{d,d} (Zhang 2007).  The table code is never consulted; agreement
+of every route with the printed table is the package's central
+self-check.
 """
 
+from math import prod
 from operator import sub
 
 from .betti import AdmissibilityError, BettiVector
+from .variety import VarietyExpr, fold
 
 
 def cone_local_derham_dims(b: BettiVector) -> tuple:
@@ -61,3 +67,14 @@ def gysin_last_column(b: BettiVector) -> tuple:
     r, beta = b.dim, b.betti
     # beta_{m+1} is zero past the top degree 2r, hence the padding.
     return (0, *map(sub, beta[r + 1:], beta[r + 3:] + (0, 0)))
+
+
+def component_count(expr: VarietyExpr) -> int:
+    """The number of connected components of V: one per atom, multiplied
+    across a product and added across a disjoint union.
+
+    >>> from lyubeznik.variety import Curve, DisjointUnion, Product
+    >>> component_count(Product(DisjointUnion(Curve(1), Curve(2)), Curve(0)))
+    2
+    """
+    return fold(expr, lambda atom: 1, prod, sum)

@@ -103,6 +103,7 @@ def parse_variety(text: str) -> VarietyExpr:
     and a piece written again is read once per call; no atom is shared
     with another call's tree.  ``_lex`` runs only on text the
     scanner stops on or an atom or a union refuses, to report the error.
+    An argument that is not a ``str`` raises ``TypeError``.
 
     >>> parse_variety("Curve(1) x P(1)")
     Product(left=Curve(g=1), right=ProjSpace(n=1))
@@ -111,6 +112,8 @@ def parse_variety(text: str) -> VarietyExpr:
         ...
     lyubeznik.parser.ParseError: unexpected '3' (offset 4, expected ')')
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse_variety reads a str, got {type(text).__name__}")
     try:
         return _scan(text)
     except ParseError:

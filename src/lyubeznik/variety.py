@@ -17,12 +17,15 @@ descriptor setter, bound once at module level after the class (such as
 ``_set_dim = VarietyExpr.dim.__set__``): one call per slot, with no name
 looked up through the class hierarchy.
 
+The tree walks live here and nowhere else, and none recurses:
+``postorder`` (the equality key), ``render`` and ``fold``, which every
+value computed from a tree goes through.
+
 The package treats classes exactly: ``Value.__eq__`` compares
 ``type(...) is``, ``betti`` reads an atom's numbers from its exact type,
-and the tree walks (``postorder``, ``betti``, ``render``) tell a node's
-kind by ``type(node) is Product`` or ``is DisjointUnion``, every other
-node being an atom.  A subclass of a value class is therefore not
-supported.
+and the tree walks tell a node's kind by ``type(node) is Product`` or
+``is DisjointUnion``, every other node being an atom.  A subclass of a
+value class is therefore not supported.
 """
 
 
@@ -267,6 +270,43 @@ def postorder(expr: VarietyExpr) -> tuple:
         else:
             items.append(node)
     return tuple(reversed(items))
+
+
+def fold(expr: VarietyExpr, atom, product, union):
+    """The value of ``expr`` bottom-up, without recursion: ``atom(node)``
+    at each atom, once per distinct atom object, and ``product(values)``
+    or ``union(values)`` at each maximal chain of joins of one kind, left-
+    or right-nested, with its operands' values in order.  ``atom`` never
+    returns None.
+
+    >>> fold(DisjointUnion(Curve(1), DisjointUnion(Curve(2), Curve(3))),
+    ...      lambda a: a.g, tuple, tuple)
+    (1, 2, 3)
+    """
+    memo = {}  # each atom's value by id; the tree keeps every atom alive
+    # A frame is its join kind, its operands' values so far and its nodes still
+    # to visit, last one first; the root's frame has no kind and takes one value.
+    frames = []
+    kind, values, nodes = None, [], [expr]
+    while True:
+        while nodes:
+            node = nodes.pop()
+            cls = type(node)
+            if cls is kind:
+                nodes += (node.right, node.left)
+            elif cls is Product or cls is DisjointUnion:
+                frames.append((kind, values, nodes))
+                kind, values, nodes = cls, [], [node.right, node.left]
+            else:
+                value = memo.get(id(node))
+                if value is None:
+                    value = memo[id(node)] = atom(node)
+                values.append(value)
+        if kind is None:
+            return values[0]
+        value = product(values) if kind is Product else union(values)
+        kind, values, nodes = frames.pop()
+        values.append(value)
 
 
 def _from_postorder(items):

@@ -21,6 +21,7 @@ from lyubeznik import (
     Curve,
     InternalConsistencyError,
     ParseError,
+    ProjSpace,
     betti,
     lyubeznik_table,
     parse_variety,
@@ -180,6 +181,41 @@ def test_a_wrong_corner_fails_the_exact_sequences(monkeypatch, capsys):
     monkeypatch.setattr(cli, "lyubeznik_table", corner_plus_one)
     assert run(["compute", "Curve(1) x P(1)"], capsys) == (
         2, "", _oracle_mismatch("Curve(1) x P(1)", 3, 3, 1, 2))
+
+
+def _projective_space_with_two_points(atom):
+    """P(n)'s vector with beta_0 and beta_{2n} one too large: duality holds."""
+    return (2,) + (0, 1) * (atom.n - 1) + (0, 2)
+
+
+def test_a_wrong_beta_zero_fails_the_component_count(monkeypatch, capsys):
+    # A wrong beta_0 with its dual keeps duality, so both exact-sequence
+    # routes agree with the table.  The component count reads the tree, not
+    # the vector, and disagrees with the corner, unless hard Lefschetz has
+    # refused the vector first (beta_0 = 2 > beta_2 = 1).
+    texts = [render(expr) for expr in corpus() + corpus(max_dim=64)]
+    right = [betti(parse_variety(text)) for text in texts]
+    monkeypatch.setitem(importlib.import_module("lyubeznik.betti")._ATOM_BETTI,
+                        ProjSpace, _projective_space_with_two_points)
+    caught = {"hard Lefschetz": 0, "component count": 0}
+    for text, vec in zip(texts, right):
+        wrong = betti(parse_variety(text))
+        if wrong == vec:
+            continue
+        d = vec.dim + 1
+        by_count = (f"internal consistency failure: oracle mismatch for {text}: "
+                    f"lambda_({d},{d}) is {vec[0]} by the component count, "
+                    f"{wrong[0]} in the table\n")
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run(["compute", text, "--format", fmt], capsys)
+            assert (code, out) == (2, ""), text
+            if err.startswith("internal consistency failure: hard Lefschetz fails:"):
+                assert err.count("\n") == 1, err
+                caught["hard Lefschetz"] += fmt == "csv"
+            else:
+                assert err == by_count
+                caught["component count"] += fmt == "csv"
+    assert caught["hard Lefschetz"] > 0 and caught["component count"] > 0, caught
 
 
 def test_compute_max_dim_guard(capsys):

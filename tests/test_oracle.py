@@ -18,6 +18,7 @@ from lyubeznik import (
     gysin_last_column,
     lyubeznik_table,
 )
+from lyubeznik.oracle import component_count
 from reference import checker, checker_tree
 
 
@@ -75,6 +76,7 @@ def test_routes_match_the_checker_on_the_corpora():
         vec = betti(expr)
         assert cone_local_derham_dims(vec) == tuple(rows[0][:r + 1])
         assert gysin_last_column(vec) == tuple([row[r + 1] for row in rows[1:]])
+        assert component_count(expr) == rows[r + 1][r + 1]
 
 
 @settings(max_examples=80)
@@ -117,9 +119,10 @@ def test_negative_dimension_message(vec, degree):
     assert info.value.pair == ()
 
 
-def test_oracle_imports_only_betti_from_the_package():
+def test_oracle_imports_only_betti_and_variety_from_the_package():
     # The cross-check is independent only if the oracle never reaches the
-    # table code, directly or through the command line.
+    # table code, directly or through the command line.  It reads vectors
+    # from betti and folds trees through variety.
     source = Path(__file__).parents[1] / "src" / "lyubeznik" / "oracle.py"
     package_imports = set()
     for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
@@ -134,4 +137,4 @@ def test_oracle_imports_only_betti_from_the_package():
             for alias in node.names:
                 if alias.name.split(".")[0] == "lyubeznik":
                     package_imports.add(alias.name)
-    assert package_imports <= {"betti"}
+    assert package_imports <= {"betti", "variety"}

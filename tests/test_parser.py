@@ -174,6 +174,18 @@ def test_parsing_is_total(text):
         pass
 
 
+@pytest.mark.parametrize("value", [
+    ProjSpace(1), b"P(1)", 5,
+], ids=["tree", "bytes", "int"])
+def test_only_a_str_is_parsed(value):
+    # A tree would otherwise parse through its str(), bytes fail inside the
+    # scanner and an int at len().
+    with pytest.raises(TypeError) as info:
+        parse_variety(value)
+    assert str(info.value) == (
+        f"parse_variety reads a str, got {type(value).__name__}")
+
+
 def test_long_union_chain_round_trips():
     text = " + ".join(["P(1)"] * 20000)
     expr = parse_variety(text)

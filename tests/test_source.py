@@ -130,3 +130,15 @@ def test_no_function_calls_itself():
              or (isinstance(node.func, ast.Attribute) and node.func.attr == func.name
                  and not _is_super_call(node.func.value)))]
     assert offenders == []
+
+
+def test_only_variety_reads_a_joins_operands():
+    """The tree walks live in ``variety.py``: ``postorder``, ``render`` and
+    ``fold``.  Every other module reads a tree through them, so no other
+    module reads a join's ``.left`` or ``.right``."""
+    offenders = [
+        f"{source.name}:{node.lineno} {node.attr}"
+        for source in _SOURCES if source.name != "variety.py"
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("left", "right")]
+    assert offenders == []

@@ -3,6 +3,8 @@ the value behaviour shared by every value class."""
 
 import copy
 import pickle
+import sys
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from lyubeznik import (
     euler_char_ci,
     render,
 )
+from lyubeznik.variety import fold
 
 
 def test_dimension_of_atoms():
@@ -203,6 +206,53 @@ def test_deep_trees_need_no_recursion():
         assert repr(tree) == text
         assert pickle.loads(pickle.dumps(tree)) == tree
         assert copy.deepcopy(tree) == tree
+
+
+def _fold_shape(expr):
+    """``expr`` folded to nested ("x" or "+", operands) pairs of its atoms'
+    genera, so every chain the fold hands a step shows in the result."""
+    return fold(expr, lambda atom: atom.g,
+                lambda values: ("x", tuple(values)), lambda values: ("+", tuple(values)))
+
+
+def test_fold_calls_atom_once_per_distinct_object():
+    shared, equal = Curve(1), Curve(1)
+    tree = Product(DisjointUnion(shared, equal), DisjointUnion(equal, shared))
+    calls = []
+    assert fold(tree, lambda atom: calls.append(atom) or 1, prod, sum) == 4
+    # Equal atoms that are two objects are two calls; each object is one.
+    assert len(calls) == 2
+    assert {id(atom) for atom in calls} == {id(shared), id(equal)}
+
+
+def test_fold_hands_each_maximal_chain_over_in_order():
+    c = [Curve(g) for g in range(6)]
+    left = DisjointUnion(DisjointUnion(DisjointUnion(c[0], c[1]), c[2]), c[3])
+    right = DisjointUnion(c[0], DisjointUnion(c[1], DisjointUnion(c[2], c[3])))
+    both = DisjointUnion(DisjointUnion(c[0], c[1]), DisjointUnion(c[2], c[3]))
+    for tree in (left, right, both):
+        assert _fold_shape(tree) == ("+", (0, 1, 2, 3))
+    # A change of join kind ends the chain: each run is its own step.
+    mixed = Product(Product(DisjointUnion(c[0], c[1]), c[2]),
+                    DisjointUnion(Product(c[3], c[4]), Product(c[5], c[0])))
+    assert _fold_shape(mixed) == (
+        "x", (("+", (0, 1)), 2, ("+", (("x", (3, 4)), ("x", (5, 0))))))
+    assert _fold_shape(c[5]) == 5
+
+
+def test_fold_of_a_tree_deeper_than_the_recursion_limit():
+    # The join kind changes at every level, so each level is a frame, and a
+    # right-nested chain as deep reaches its step as one list.
+    depth = sys.getrecursionlimit() + 1
+    tree = ProjSpace(1)
+    for k in range(depth):
+        tree = DisjointUnion(Product(tree, ProjSpace(1)), ProjSpace(k + 2))
+    assert fold(tree, lambda atom: 1, prod, sum) == depth + 1
+    _, _, right_unions = _deep_trees(depth)
+    lengths = []
+    assert fold(right_unions, lambda atom: 1, prod,
+                lambda values: lengths.append(len(values)) or 0) == 0
+    assert lengths == [depth + 1]
 
 
 # One instance of every value class and the repr a frozen dataclass of the
